@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "harness/driver.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -61,13 +62,10 @@ inline void PrintQueryProfile(harness::Driver& driver, workload::QueryId id) {
 
 /// Intra-query parallelism sweep (extension beyond the paper): runs each
 /// query on the native engine (first class that supports it, small
-/// scale, warm) once per parallelism bound and reports the modeled
-/// execution wall time per bound. Parallelism 1 reports the measured
-/// operator-tree time; N > 1 reports ExecStats::modeled_total_millis —
-/// the run's wall time with each morsel region's measured all-lane CPU
-/// replaced by its list-scheduled makespan on N lanes, so the sweep is
-/// meaningful on hosts with fewer free cores than lanes. Answers are
-/// checked identical across bounds. XBENCH_REPORT=<path> writes the
+/// scale, warm) once per parallelism bound and reports the measured
+/// operator-tree wall time (ExecStats::total_millis, the profile's
+/// exec_millis) per bound, best of three, on this host's cores. Answers
+/// are checked identical across bounds. XBENCH_REPORT=<path> writes the
 /// machine-readable JSON artifact.
 inline int RunQueryParallelismBench(
     const std::vector<workload::QueryId>& queries,
@@ -76,9 +74,11 @@ inline int RunQueryParallelismBench(
   harness::Driver driver;
   std::printf(
       "XBench extension — intra-query parallelism sweep "
-      "(native engine, small scale, modeled exec millis)\n");
+      "(native engine, small scale, wall-clock exec millis)\n");
   std::printf("%-6s %-6s", "query", "class");
-  for (int p : parallelisms) std::printf(" %9s", ("x" + std::to_string(p)).c_str());
+  for (int p : parallelisms) {
+    std::printf(" %9s", StrCat({"x", std::to_string(p)}).c_str());
+  }
   std::printf(" %9s\n", "speedup");
 
   obs::JsonWriter writer;
@@ -106,8 +106,7 @@ inline int RunQueryParallelismBench(
                                 "parallelism");
       struct Point {
         int parallelism = 1;
-        double modeled_millis = 0;
-        double busy_millis = 0;
+        double exec_millis = 0;
         uint64_t morsels = 0;
       };
       std::vector<Point> points;
@@ -130,10 +129,9 @@ inline int RunQueryParallelismBench(
               workload::CanonicalizeAnswer(id, std::move(result.lines)));
           if (p == parallelisms.front() && rep == 0) baseline_hash = hash;
           if (hash != baseline_hash) mismatch = true;
-          const double modeled = result.plan_stats.modeled_total_millis;
-          if (rep == 0 || modeled < point.modeled_millis) {
-            point.modeled_millis = modeled;
-            point.busy_millis = result.plan_stats.parallel_busy_millis;
+          const double exec = result.plan_stats.total_millis;
+          if (rep == 0 || exec < point.exec_millis) {
+            point.exec_millis = exec;
             point.morsels = 0;
             for (const xquery::exec::OperatorStats& op :
                  result.plan_stats.operators) {
@@ -146,12 +144,12 @@ inline int RunQueryParallelismBench(
       }
       if (failed || points.empty()) continue;
       ran = true;
-      const double base = points.front().modeled_millis;
-      const double last = points.back().modeled_millis;
+      const double base = points.front().exec_millis;
+      const double last = points.back().exec_millis;
       std::printf("%-6s %-6s", workload::QueryName(id),
                   datagen::DbClassName(db_class));
       for (const Point& point : points) {
-        std::printf(" %9.3f", point.modeled_millis);
+        std::printf(" %9.3f", point.exec_millis);
       }
       std::printf(" %8.2fx%s\n", last > 0 ? base / last : 0.0,
                   mismatch ? "  ANSWER-MISMATCH" : "");
@@ -165,15 +163,12 @@ inline int RunQueryParallelismBench(
         writer.BeginObject()
             .Key("parallelism")
             .Uint(static_cast<uint64_t>(point.parallelism))
-            .Key("modeled_exec_millis")
-            .Number(point.modeled_millis)
-            .Key("parallel_busy_millis")
-            .Number(point.busy_millis)
+            .Key("exec_millis")
+            .Number(point.exec_millis)
             .Key("morsels")
             .Uint(point.morsels)
             .Key("speedup")
-            .Number(point.modeled_millis > 0 ? base / point.modeled_millis
-                                             : 0.0)
+            .Number(point.exec_millis > 0 ? base / point.exec_millis : 0.0)
             .EndObject();
       }
       writer.EndArray();

@@ -7,7 +7,7 @@
 // Usage: bench_query [--query Q1..Q20] [--profile] [--parallelism 1,2,4]
 //   --parallelism runs the intra-query parallelism sweep instead of the
 //   paper tables: each query executes once per listed bound on the native
-//   engine and the modeled execution time per bound is reported
+//   engine and the measured execution wall time per bound is reported
 //   (XBENCH_REPORT=<path> writes the JSON artifact).
 #include <cstdio>
 #include <cstdlib>

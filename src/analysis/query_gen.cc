@@ -3,6 +3,7 @@
 #include <set>
 
 #include "analysis/analyzer.h"
+#include "common/strings.h"
 #include "xquery/parser.h"
 
 namespace xbench::analysis {
@@ -89,8 +90,8 @@ std::string QueryGenerator::GenLiteral() {
       return std::to_string(rng_.NextInt(0, 99)) + "." +
              std::to_string(rng_.NextInt(0, 9));
     default:
-      return "\"" + rng_.NextAlpha(static_cast<int>(rng_.NextInt(1, 6))) +
-             "\"";
+      return StrCat(
+          {"\"", rng_.NextAlpha(static_cast<int>(rng_.NextInt(1, 6))), "\""});
   }
 }
 
@@ -107,7 +108,7 @@ std::string QueryGenerator::GenPredicate(const std::string& context_type) {
   for (int tries = 0; tries < 3; ++tries) {
     switch (rng_.NextBounded(4)) {
       case 0:  // positional
-        return "[" + std::to_string(rng_.NextInt(1, 3)) + "]";
+        return StrCat({"[", std::to_string(rng_.NextInt(1, 3)), "]"});
       case 1:  // child existence
         if (!have_kids) break;
         return "[" + kids->second[rng_.NextIndex(kids->second.size())] + "]";
@@ -121,7 +122,7 @@ std::string QueryGenerator::GenPredicate(const std::string& context_type) {
                GenComparisonOp() + " " + GenLiteral() + "]";
     }
   }
-  return "[" + std::to_string(rng_.NextInt(1, 3)) + "]";
+  return StrCat({"[", std::to_string(rng_.NextInt(1, 3)), "]"});
 }
 
 GeneratedQuery QueryGenerator::GenCandidate() {

@@ -27,28 +27,6 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Thread-CPU stopwatch (CLOCK_THREAD_CPUTIME_ID): measures CPU actually
-/// consumed by the calling thread, so a session timed on a timesliced core
-/// is not billed for other sessions' work. The multi-client throughput
-/// driver uses this to model each client as owning a core, keeping MPL
-/// sweeps meaningful on machines with fewer cores than sessions.
-class ThreadCpuStopwatch {
- public:
-  ThreadCpuStopwatch() { Restart(); }
-
-  void Restart() { start_nanos_ = NowNanos(); }
-
-  /// Thread CPU time since construction/Restart, in milliseconds.
-  double ElapsedMillis() const {
-    return static_cast<double>(NowNanos() - start_nanos_) / 1e6;
-  }
-
- private:
-  static uint64_t NowNanos();
-
-  uint64_t start_nanos_ = 0;
-};
-
 /// Deterministic virtual clock advanced by the simulated-disk layer.
 ///
 /// The paper measures cold-run times on a 2 GHz disk-backed machine; our

@@ -28,6 +28,15 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out.append(part);
+  return out;
+}
+
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();

@@ -1,6 +1,7 @@
 #ifndef XBENCH_COMMON_STRINGS_H_
 #define XBENCH_COMMON_STRINGS_H_
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +13,12 @@ std::vector<std::string> Split(std::string_view text, char sep);
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// Concatenates `parts` into one string with a single allocation. Use it
+/// instead of `"literal" + std::string(...)`: GCC 12 at -O3 reports that
+/// operator+ overload as a -Wrestrict overlap, which the repo-wide
+/// -Werror turns into a failed Release build.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/lock_rank.h"
-#include "common/stopwatch.h"
 #include "common/thread_io.h"
 #include "obs/metrics.h"
 
@@ -44,20 +43,6 @@ void AddIoDelta(ThreadIoCounters& out, const ThreadIoCounters& before,
   out.disk_bytes_written += after.disk_bytes_written - before.disk_bytes_written;
 }
 
-/// Greedy in-order list scheduling of the measured morsel CPU times onto
-/// `lanes` ideal lanes; the resulting makespan is the modeled wall time
-/// of the region on a machine with that many free cores. In-order
-/// assignment mirrors how lanes actually pull morsels from the shared
-/// cursor, so the model never beats a real P-core run of the same chunks.
-double ListScheduleMakespan(const std::vector<double>& chunk_millis,
-                            int lanes) {
-  std::vector<double> load(static_cast<size_t>(std::max(lanes, 1)), 0.0);
-  for (double millis : chunk_millis) {
-    *std::min_element(load.begin(), load.end()) += millis;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
-
 int DefaultThreadCount() {
   if (const char* env = std::getenv("XBENCH_EXEC_WORKERS")) {
     const int parsed = std::atoi(env);
@@ -65,8 +50,7 @@ int DefaultThreadCount() {
   }
   // At least 3 workers so a parallelism-4 region is genuinely 4-lane
   // concurrent (caller + 3) even on small hosts — that concurrency is
-  // what the TSAN smoke exercises; the timing model is what makes the
-  // numbers meaningful when cores < lanes.
+  // what the TSAN smoke exercises.
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(hw, 3u, 16u));
 }
@@ -91,8 +75,6 @@ struct WorkerPool::Region {
   /// Per-chunk slots, each written by exactly the lane that ran the
   /// chunk (no synchronization needed; the detach handshake under the
   /// pool mutex publishes them to the caller).
-  std::vector<double> chunk_cpu_millis;
-  std::vector<signed char> chunk_on_caller;
   std::vector<signed char> chunk_ran;
   std::vector<Status> chunk_status;
   /// Workers currently draining this region (pool mutex).
@@ -125,14 +107,13 @@ WorkerPool::~WorkerPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-void WorkerPool::DrainRegion(Region& region, bool caller) {
+void WorkerPool::DrainRegion(Region& region) {
   while (!region.cancelled.load(std::memory_order_relaxed)) {
     const size_t chunk =
         region.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= region.num_chunks) break;
     const size_t begin = chunk * region.chunk_size;
     const size_t end = std::min(region.total, begin + region.chunk_size);
-    ThreadCpuStopwatch cpu;
     Status status;
     {
       MorselScope morsel;
@@ -140,8 +121,6 @@ void WorkerPool::DrainRegion(Region& region, bool caller) {
         status = (*region.fn)(i);
       }
     }
-    region.chunk_cpu_millis[chunk] = cpu.ElapsedMillis();
-    region.chunk_on_caller[chunk] = caller ? 1 : 0;
     region.chunk_ran[chunk] = 1;
     if (!status.ok()) {
       region.chunk_status[chunk] = std::move(status);
@@ -169,7 +148,7 @@ void WorkerPool::WorkerMain() {
     ++region->attached;
     mu_.unlock();
     const ThreadIoCounters before = ThisThreadIo();
-    DrainRegion(*region, /*caller=*/false);
+    DrainRegion(*region);
     const ThreadIoCounters after = ThisThreadIo();
     mu_.lock();
     AddIoDelta(region->worker_io, before, after);
@@ -189,21 +168,19 @@ Status WorkerPool::ParallelFor(size_t total, int parallelism,
   static obs::Counter& region_counter =
       obs::MetricsRegistry::Default().GetCounter(
           "xbench.exec.parallel_regions");
-  const int model_lanes = std::max(parallelism, 1);
+  const int lanes = std::max(parallelism, 1);
 
   Region region;
   region.total = total;
   region.chunk_size =
-      std::max<size_t>(1, total / (8 * static_cast<size_t>(model_lanes)));
+      std::max<size_t>(1, total / (8 * static_cast<size_t>(lanes)));
   region.num_chunks =
       (total + region.chunk_size - 1) / region.chunk_size;
   region.fn = &fn;
-  region.chunk_cpu_millis.assign(region.num_chunks, 0.0);
-  region.chunk_on_caller.assign(region.num_chunks, 0);
   region.chunk_ran.assign(region.num_chunks, 0);
   region.chunk_status.assign(region.num_chunks, Status::Ok());
 
-  const bool use_workers = model_lanes > 1 && !threads_.empty() && total > 1;
+  const bool use_workers = lanes > 1 && !threads_.empty() && total > 1;
   if (use_workers) {
     {
       MutexLock lock(mu_);
@@ -212,7 +189,7 @@ Status WorkerPool::ParallelFor(size_t total, int parallelism,
     work_cv_.notify_all();
   }
 
-  DrainRegion(region, /*caller=*/true);
+  DrainRegion(region);
 
   if (use_workers) {
     mu_.lock();
@@ -232,26 +209,11 @@ Status WorkerPool::ParallelFor(size_t total, int parallelism,
     AddIoDelta(mine, zero, region.worker_io);
   }
 
-  size_t ran = 0;
-  std::vector<double> ran_millis;
-  ran_millis.reserve(region.num_chunks);
-  double busy = 0, caller_busy = 0;
-  for (size_t i = 0; i < region.num_chunks; ++i) {
-    if (!region.chunk_ran[i]) continue;
-    ++ran;
-    ran_millis.push_back(region.chunk_cpu_millis[i]);
-    busy += region.chunk_cpu_millis[i];
-    if (region.chunk_on_caller[i]) caller_busy += region.chunk_cpu_millis[i];
-  }
+  const size_t ran = static_cast<size_t>(
+      std::count(region.chunk_ran.begin(), region.chunk_ran.end(), 1));
   morsel_counter.Increment(ran);
   region_counter.Increment();
-  if (stats != nullptr) {
-    stats->parallelism = model_lanes;
-    stats->morsels = ran;
-    stats->busy_millis = busy;
-    stats->caller_busy_millis = caller_busy;
-    stats->modeled_millis = ListScheduleMakespan(ran_millis, model_lanes);
-  }
+  if (stats != nullptr) stats->morsels = ran;
   for (size_t i = 0; i < region.num_chunks; ++i) {
     if (!region.chunk_status[i].ok()) return region.chunk_status[i];
   }

@@ -13,26 +13,10 @@
 
 namespace xbench {
 
-/// Accounting for one ParallelFor region, used by the exec layer to model
-/// what intra-query parallelism buys on hardware with fewer cores than
-/// lanes (the same convention as the throughput driver's thread-CPU
-/// makespan model: measure real per-morsel CPU, schedule it onto ideal
-/// lanes).
+/// Accounting for one ParallelFor region.
 struct ParallelRunStats {
-  /// Lanes the region was scheduled onto (caller + workers actually
-  /// eligible; <= the requested parallelism).
-  int parallelism = 1;
   /// Morsels (index chunks) executed.
   size_t morsels = 0;
-  /// Σ thread-CPU over every morsel, all lanes.
-  double busy_millis = 0;
-  /// Thread-CPU of the morsels the calling thread itself ran (subset of
-  /// busy_millis; already contained in any caller-side CPU measurement).
-  double caller_busy_millis = 0;
-  /// Makespan of greedy list-scheduling the measured morsel CPU times
-  /// onto `parallelism` ideal lanes — the modeled wall time of the region
-  /// on a machine with that many free cores.
-  double modeled_millis = 0;
 };
 
 /// Fixed-size shared worker pool for morsel-driven intra-query
@@ -77,7 +61,7 @@ class WorkerPool {
   /// always start no later than high ones. On errors the non-OK Status
   /// of the lowest failing index is returned (deterministic regardless
   /// of interleaving) and remaining morsels are cancelled. `stats`, when
-  /// non-null, receives the region's timing model.
+  /// non-null, receives the region's morsel count.
   Status ParallelFor(size_t total, int parallelism,
                      const std::function<Status(size_t)>& fn,
                      ParallelRunStats* stats = nullptr);
@@ -87,9 +71,8 @@ class WorkerPool {
 
   void WorkerMain();
   /// Runs morsels of `region` until its cursor is exhausted (or an error
-  /// cancelled it). `caller` marks the region-owning thread (its CPU is
-  /// tracked separately for the timing model).
-  static void DrainRegion(Region& region, bool caller);
+  /// cancelled it).
+  static void DrainRegion(Region& region);
 
   Mutex mu_{LockRank::kWorkerPool, "worker.pool"};
   std::condition_variable_any work_cv_;

@@ -7,7 +7,7 @@
 
 namespace xbench::datagen {
 
-std::string ArticleId(int64_t n) { return "A" + PadNumber(n, 6); }
+std::string ArticleId(int64_t n) { return StrCat({"A", PadNumber(n, 6)}); }
 
 std::string ArticleFileName(int64_t n) {
   return "article" + PadNumber(n, 6) + ".xml";

@@ -16,7 +16,9 @@ std::string DictionaryHeadword(int64_t n) {
   return "word_" + std::to_string(n);
 }
 
-std::string DictionaryEntryId(int64_t n) { return "E" + PadNumber(n, 6); }
+std::string DictionaryEntryId(int64_t n) {
+  return StrCat({"E", PadNumber(n, 6)});
+}
 
 namespace {
 

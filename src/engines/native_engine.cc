@@ -603,10 +603,10 @@ Result<xquery::QueryResult> NativeEngine::ExecutePlan(
     const xquery::plan::CompiledQuery& compiled,
     xquery::exec::ExecStats* stats) {
   ReaderLock lock(collection_mu_);
-  return ExecutePlanImpl(compiled, stats);
+  return ExecutePlanLocked(compiled, stats);
 }
 
-Result<xquery::QueryResult> NativeEngine::ExecutePlanImpl(
+Result<xquery::QueryResult> NativeEngine::ExecutePlanLocked(
     const xquery::plan::CompiledQuery& compiled,
     xquery::exec::ExecStats* stats) {
   obs::ScopedClockSource clock_scope(disk_->clock());
@@ -639,7 +639,7 @@ Result<xquery::QueryResult> NativeEngine::ExecutePlanWithIndexImpl(
     const xquery::plan::CompiledQuery& compiled,
     xquery::exec::ExecStats* stats) {
   auto it = value_indexes_.find(index_name);
-  if (it == value_indexes_.end()) return ExecutePlanImpl(compiled, stats);
+  if (it == value_indexes_.end()) return ExecutePlanLocked(compiled, stats);
   obs::ScopedClockSource clock_scope(disk_->clock());
   obs::ScopedSpan span("native.exec_plan_with_index");
   std::set<size_t> ordinals;

@@ -115,6 +115,14 @@ class NativeEngine : public XmlDbms {
       const xquery::plan::CompiledQuery& compiled,
       xquery::exec::ExecStats* stats = nullptr);
 
+  /// ExecutePlan for a caller already holding collection_mu() shared. The
+  /// result's nodes live in the materialized-document cache, which a
+  /// ColdRestart or mutation frees, so a concurrent caller must keep the
+  /// lock until it has finished reading the result.
+  Result<xquery::QueryResult> ExecutePlanLocked(
+      const xquery::plan::CompiledQuery& compiled,
+      xquery::exec::ExecStats* stats) XBENCH_REQUIRES_SHARED(collection_mu_);
+
   /// Compiled form of QueryWithIndex (the session-level index *hint*
   /// path, distinct from planner-chosen probes).
   Result<xquery::QueryResult> ExecutePlanWithIndex(
@@ -239,9 +247,6 @@ class NativeEngine : public XmlDbms {
                                                  const std::string& value,
                                                  const xquery::Expr& query)
       XBENCH_REQUIRES_SHARED(collection_mu_);
-  Result<xquery::QueryResult> ExecutePlanImpl(
-      const xquery::plan::CompiledQuery& compiled,
-      xquery::exec::ExecStats* stats) XBENCH_REQUIRES_SHARED(collection_mu_);
   Result<xquery::QueryResult> ExecutePlanWithIndexImpl(
       const std::string& index_name, const std::string& value,
       const xquery::plan::CompiledQuery& compiled,

@@ -190,8 +190,6 @@ std::string Driver::JsonReport(const ReportOptions& options) {
           for (QueryId id : queries) {
             workload::RunOptions run_options;
             run_options.profile = options.profile;
-            run_options.compile.parallelism.max_intra =
-                options.max_intra_parallelism;
             run_options.compile.access_path = options.access_path;
             workload::ExecutionResult result = session.Run(id, run_options);
             writer.BeginObject();
@@ -231,20 +229,6 @@ std::string Driver::JsonReport(const ReportOptions& options) {
                         plan_stats.max_parallelism > 0
                             ? plan_stats.max_parallelism
                             : 1));
-                if (plan_stats.max_parallelism > 1) {
-                  uint64_t morsels = 0;
-                  for (const xquery::exec::OperatorStats& op :
-                       plan_stats.operators) {
-                    morsels += op.morsels;
-                  }
-                  writer.Key("morsels").Uint(morsels);
-                  writer.Key("parallel_busy_millis")
-                      .Number(plan_stats.parallel_busy_millis);
-                  writer.Key("parallel_modeled_millis")
-                      .Number(plan_stats.parallel_modeled_millis);
-                  writer.Key("modeled_total_millis")
-                      .Number(plan_stats.modeled_total_millis);
-                }
                 writer.Key("operators").BeginArray();
                 for (const xquery::exec::OperatorStats& op :
                      plan_stats.operators) {

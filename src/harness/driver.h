@@ -59,10 +59,6 @@ class Driver {
     /// "profile" object (phase timings) plus per-operator depth/self
     /// times in the plan section.
     bool profile = false;
-    /// Intra-query parallelism bound for every query run, threaded into
-    /// RunOptions::compile.parallelism.max_intra (native compiled path);
-    /// surfaced in the report's plan section.
-    int max_intra_parallelism = 1;
     /// Access-path policy for every query run (native compiled path).
     /// The default kAuto lets the cost model choose among guided walks,
     /// full scans, and index probes; the chosen path lands in each

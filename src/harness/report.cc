@@ -28,10 +28,13 @@ std::string ResultTable::ToString() const {
     const size_t pad = group_width > group.size()
                            ? (group_width - group.size()) / 2
                            : 0;
-    out += "|" + std::string(pad, ' ') + group +
-           std::string(group_width - pad - group.size(), ' ');
+    out += '|';
+    out.append(pad, ' ');
+    out += group;
+    out.append(group_width - pad - group.size(), ' ');
   }
-  out += "\n" + std::string(kNameWidth, ' ');
+  out += '\n';
+  out.append(kNameWidth, ' ');
   for (int g = 0; g < 4; ++g) {
     out += "|";
     for (const char* scale : kScales) {

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "harness/scale.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -29,7 +30,6 @@ std::vector<QueryId> DefaultMix() {
 /// scalar tallies ride through here.
 struct SessionOutcome {
   uint64_t ops = 0;
-  double busy_millis = 0;
   uint64_t failures = 0;
   uint64_t hash_mismatches = 0;
 };
@@ -101,8 +101,8 @@ void WriteJson(const ThroughputReport& report, obs::JsonWriter& writer) {
         .Uint(result.failures)
         .Key("hash_mismatches")
         .Uint(result.hash_mismatches)
-        .Key("makespan_millis")
-        .Number(result.makespan_millis)
+        .Key("wall_millis")
+        .Number(result.wall_millis)
         .Key("qps")
         .Number(result.qps)
         .Key("mean_millis")
@@ -161,7 +161,6 @@ Result<ThroughputReport> ThroughputDriver::Run() {
   // are real errors and abort the sweep.
   workload::RunOptions serial_options;
   serial_options.cold = false;
-  serial_options.thread_time = true;
   workload::Session baseline_session(*engine, options_.db_class, params,
                                      "baseline");
   std::vector<QueryId> supported;
@@ -221,30 +220,16 @@ Result<ThroughputReport> ThroughputDriver::Run() {
       }
       workload::RunOptions run_options;
       run_options.cold = false;
-      run_options.thread_time = true;
-      // The intra-parallel latency model below reads the run's parallel-
-      // region stats, so plan stats collection stays on for those rows.
-      run_options.collect_plan_stats = intra > 1;
+      run_options.collect_plan_stats = false;
       run_options.compile.parallelism.max_intra = intra;
       for (int op = 0; op < ops; ++op) {
         // Offset by the session index so concurrent sessions interleave
         // different statements instead of marching in lockstep.
         const QueryId id = mix[static_cast<size_t>(index + op) % mix.size()];
         workload::ExecutionResult result = session.Run(id, run_options);
-        double latency = result.TotalMillis();
-        if (intra > 1 && result.compiled) {
-          // Modeled per-statement wall time with intra free cores: swap
-          // the caller's measured share of the parallel regions for the
-          // regions' modeled makespans (pool-lane CPU is not in the
-          // caller's thread-CPU measurement to begin with).
-          latency += result.plan_stats.parallel_modeled_millis -
-                     result.plan_stats.parallel_caller_busy_millis;
-          if (latency < 0) latency = 0;
-        }
-        latency_histogram.Record(
-            static_cast<uint64_t>(std::llround(latency * 1000.0)));
+        latency_histogram.Record(static_cast<uint64_t>(
+            std::llround(result.TotalMillis() * 1000.0)));
         ++outcome.ops;
-        outcome.busy_millis += latency;
         if (!result.status.ok()) {
           ++outcome.failures;
           continue;
@@ -258,6 +243,7 @@ Result<ThroughputReport> ThroughputDriver::Run() {
         if (hash != expected) ++outcome.hash_mismatches;
       }
     };
+    Stopwatch wall;
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(mpl));
     for (int s = 0; s < mpl; ++s) threads.emplace_back(worker, s);
@@ -266,12 +252,11 @@ Result<ThroughputReport> ThroughputDriver::Run() {
     MplResult result;
     result.mpl = mpl;
     result.intra = intra;
+    result.wall_millis = wall.ElapsedMillis();
     for (const SessionOutcome& outcome : outcomes) {
       result.ops += outcome.ops;
       result.failures += outcome.failures;
       result.hash_mismatches += outcome.hash_mismatches;
-      result.makespan_millis =
-          std::max(result.makespan_millis, outcome.busy_millis);
     }
     // Percentiles straight from the recorded samples (micros -> millis);
     // the log-bucketed histogram bounds the relative error at <= 6.25%.
@@ -287,9 +272,9 @@ Result<ThroughputReport> ThroughputDriver::Run() {
         1000.0;
     result.slo_ok = options_.slo_p99_millis <= 0 ||
                     result.p99_millis <= options_.slo_p99_millis;
-    result.qps = result.makespan_millis > 0
+    result.qps = result.wall_millis > 0
                      ? static_cast<double>(result.ops) /
-                           (result.makespan_millis / 1000.0)
+                           (result.wall_millis / 1000.0)
                      : 0;
     report.mpls.push_back(result);
 

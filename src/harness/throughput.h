@@ -44,11 +44,8 @@ struct ThroughputOptions {
 /// log-bucketed `xbench.concurrency.mpl<N>.latency_micros` histogram
 /// (`mpl<N>.intra<M>.latency_micros` when intra > 1) of per-statement
 /// samples (see obs::Histogram for the relative-error bound), recorded in
-/// microseconds and reported in milliseconds. For intra > 1 each
-/// statement's latency is its modeled wall time on a host with that many
-/// free cores: measured (thread-CPU + attributed-I/O) with the caller's
-/// share of the parallel regions replaced by the regions' modeled
-/// makespans — mirroring the makespan convention below.
+/// microseconds and reported in milliseconds. A statement's latency is
+/// its Session wall time plus the simulated-disk time attributed to it.
 struct MplResult {
   int mpl = 1;
   /// Intra-query parallelism bound the sessions ran with.
@@ -58,11 +55,10 @@ struct MplResult {
   /// Statements whose canonical answer hash differed from the serial
   /// baseline — must be zero for a correct engine.
   uint64_t hash_mismatches = 0;
-  /// Modeled elapsed time: max over sessions of that session's summed
-  /// per-statement (thread-CPU + attributed-I/O) time. On a single-core
-  /// host this is what a multi-core run's wall clock would be; wall time
-  /// here would only measure timeslicing.
-  double makespan_millis = 0;
+  /// Wall time from starting the MPL's session threads to joining the
+  /// last one; qps = ops / wall_millis. Measured on this host's cores, so
+  /// MPLs above the free core count only timeslice.
+  double wall_millis = 0;
   double qps = 0;
   double mean_millis = 0;
   double p50_millis = 0;

@@ -1,9 +1,13 @@
 #include "relational/exec.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string_view>
 #include <unordered_map>
+
+#include "common/strings.h"
 
 namespace xbench::relational {
 
@@ -73,11 +77,19 @@ void SortRows(RowSet& rows, const std::vector<SortSpec>& specs) {
 }
 
 namespace {
+/// Hash-join key whose equality matches Value::Compare: every number, int
+/// or double, is keyed by the bytes of its double value (so Int(3) meets
+/// Double(3.0) and doubles that differ in any bit stay apart), -0.0 is
+/// folded into 0.0 because Compare calls them equal, and strings carry
+/// their own tag so "3" never meets 3. Callers drop NULL keys before
+/// probing.
 std::string HashKeyOf(const Value& v) {
-  // Type-tagged text encoding; ints and doubles that compare equal map to
-  // the same bucket via the numeric rendering.
-  if (v.is_null()) return "\x00";
-  return std::string(1, static_cast<char>(v.type())) + v.ToText();
+  if (v.type() == ValueType::kString) return StrCat({"s", v.AsString()});
+  double number = v.AsDouble();
+  if (number == 0.0) number = 0.0;
+  char bytes[sizeof(number)];
+  std::memcpy(bytes, &number, sizeof(number));
+  return StrCat({"n", std::string_view(bytes, sizeof(bytes))});
 }
 }  // namespace
 

@@ -172,7 +172,7 @@ std::vector<xml::Document> BuildFlatDocuments(const TpcwData& data) {
       ++chunk;
       std::string name = base_name;
       if (row_count > kFlatChunkRows) {
-        name += "_" + PadNumber(chunk, 3);
+        name += StrCat({"_", PadNumber(chunk, 3)});
       }
       docs.emplace_back(name + ".xml", std::move(root));
     } while (emitted < row_count);

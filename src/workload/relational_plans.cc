@@ -86,8 +86,9 @@ std::string ReconstructRow(const TableMap& map, const Table& table,
   for (const ColumnMap& col : map.columns) {
     if (col.rel_path.size() > 1 && col.rel_path[0] == '@' &&
         !ColNull(table, row, col.column)) {
-      out += " " + col.rel_path.substr(1) + "=\"" +
-             xml::EscapeAttribute(ColText(table, row, col.column)) + "\"";
+      out += StrCat({" ", std::string_view(col.rel_path).substr(1), "=\"",
+                     xml::EscapeAttribute(ColText(table, row, col.column)),
+                     "\""});
     }
   }
   out += ">";

@@ -60,8 +60,8 @@ IoStats IoStatsDelta(const IoStats& before, const IoStats& after);
 /// to the operation.
 struct OpOutcome {
   Status status;
-  /// CPU time spent by the operation (wall time by default; thread CPU
-  /// time when the operation ran with RunOptions::thread_time).
+  /// Wall time spent by the operation. The simulated disk adds no wall
+  /// time; its latency is charged separately as io_millis.
   double cpu_millis = 0;
   /// Simulated disk time charged during the operation.
   double io_millis = 0;
@@ -97,10 +97,6 @@ struct RunOptions {
   /// Copy the run's per-operator counters into ExecutionResult::plan_stats
   /// (native compiled path).
   bool collect_plan_stats = true;
-  /// Measure cpu_millis as thread CPU time (CLOCK_THREAD_CPUTIME_ID)
-  /// instead of wall time. Concurrent throughput runs use this so one
-  /// session's latency is unaffected by timeslicing against the others.
-  bool thread_time = false;
   /// Collect phase-boundary timings into ExecutionResult::profile
   /// (native engine path).
   bool profile = false;

@@ -118,11 +118,15 @@ void RunNative(engines::NativeEngine& engine,
   xquery::exec::ExecStats scratch;
   xquery::exec::ExecStats* stats =
       collect_plan_stats || profile ? &result.plan_stats : &scratch;
+  // The result points into cached documents that a concurrent ColdRestart
+  // or mutation frees, so the collection lock stays shared until the
+  // answer is serialized.
+  ReaderLock lock(engine.collection_mu());
   // No session-level index hint here: access-path selection (including
   // index probes and the document prefilter) is the planner's job now;
   // the compiled plan carries its choices.
   Stopwatch engine_watch;
-  auto query_result = engine.ExecutePlan(compiled, stats);
+  auto query_result = engine.ExecutePlanLocked(compiled, stats);
   const double engine_millis = engine_watch.ElapsedMillis();
   if (!query_result.ok()) {
     result.status = query_result.status();
@@ -198,7 +202,6 @@ ExecutionResult Session::Run(QueryId id, const QueryParams& params,
   const IoStats io_before = ThreadIoSnapshot();
   const double io_millis_before = ThreadIoMillis();
   Stopwatch wall;
-  ThreadCpuStopwatch cpu;
   switch (engine.kind()) {
     case EngineKind::kNative: {
       auto& native = static_cast<engines::NativeEngine&>(engine);
@@ -258,8 +261,7 @@ ExecutionResult Session::Run(QueryId id, const QueryParams& params,
       break;
     }
   }
-  result.cpu_millis =
-      options.thread_time ? cpu.ElapsedMillis() : wall.ElapsedMillis();
+  result.cpu_millis = wall.ElapsedMillis();
   result.io_millis = ThreadIoMillis() - io_millis_before;
   result.io = IoStatsDelta(io_before, ThreadIoSnapshot());
   ++stats_.queries_run;

@@ -37,14 +37,6 @@ using Arena = std::vector<std::unique_ptr<xml::Node>>;
 /// never materializes far past what the consumer needs.
 constexpr size_t kTupleBatch = 64;
 
-/// Run-wide accumulator for the parallel-region timing model (summed
-/// into ExecStats after the root returns).
-struct ParallelAgg {
-  double busy_millis = 0;
-  double caller_busy_millis = 0;
-  double modeled_millis = 0;
-};
-
 /// Everything one Execute() call threads through the operator tree. The
 /// scope holds the bindings of enclosing tuples while a sub-plan runs, so
 /// expression leaves see exactly the variables the interpreter would.
@@ -62,7 +54,6 @@ struct ExecContext {
   Arena* arena = nullptr;
   Env scope;
   std::vector<OperatorStats>* stats = nullptr;
-  ParallelAgg* parallel = nullptr;
   obs::Counter* nodes_visited = nullptr;
   /// Engine index access for probe operators; null = probes run their
   /// fallback access path. Only read on the calling thread (postings are
@@ -82,23 +73,15 @@ void SpliceArenas(ExecContext& ctx, std::vector<Arena>& arenas) {
 }
 
 /// Runs fn(0..total-1) on the shared worker pool and books the region's
-/// timing model against the operator's stats slot and the run totals.
-/// Returns the lowest-index error (matching the scalar loop's
-/// first-error semantics regardless of lane interleaving).
+/// morsels against the operator's stats slot. Returns the lowest-index
+/// error (matching the scalar loop's first-error semantics regardless of
+/// lane interleaving).
 Status RunParallel(ExecContext& ctx, size_t slot, int parallelism,
                    size_t total, const std::function<Status(size_t)>& fn) {
   ParallelRunStats stats;
   const Status status =
       WorkerPool::Default().ParallelFor(total, parallelism, fn, &stats);
-  OperatorStats& op = (*ctx.stats)[slot];
-  op.morsels += stats.morsels;
-  op.parallel_busy_millis += stats.busy_millis;
-  op.parallel_modeled_millis += stats.modeled_millis;
-  if (ctx.parallel != nullptr) {
-    ctx.parallel->busy_millis += stats.busy_millis;
-    ctx.parallel->caller_busy_millis += stats.caller_busy_millis;
-    ctx.parallel->modeled_millis += stats.modeled_millis;
-  }
+  (*ctx.stats)[slot].morsels += stats.morsels;
   return status;
 }
 
@@ -1693,13 +1676,11 @@ Result<QueryResult> Execute(const PhysicalPlan& plan, const Bindings& bindings,
     op_stats[i].estimated_rows =
         i < plan.estimated_rows.size() ? plan.estimated_rows[i] : -1;
   }
-  ParallelAgg parallel_agg;
   ExecContext ctx;
   ctx.bindings = &bindings;
   ctx.options = &options;
   ctx.arena = &result.constructed;
   ctx.stats = &op_stats;
-  ctx.parallel = &parallel_agg;
   ctx.indexes = indexes;
   ctx.nodes_visited = &obs::MetricsRegistry::Default().GetCounter(
       "xbench.xquery.nodes_visited");
@@ -1722,19 +1703,6 @@ Result<QueryResult> Execute(const PhysicalPlan& plan, const Bindings& bindings,
     stats->operators = std::move(op_stats);
     stats->total_millis = total_millis;
     stats->max_parallelism = plan.max_parallelism;
-    stats->parallel_busy_millis = parallel_agg.busy_millis;
-    stats->parallel_caller_busy_millis = parallel_agg.caller_busy_millis;
-    stats->parallel_modeled_millis = parallel_agg.modeled_millis;
-    // Modeled wall time on a machine with max_parallelism free cores:
-    // take each region's all-lane CPU out of the measured wall clock and
-    // put its modeled makespan back in. On this (possibly smaller) host
-    // the region's lanes serialize onto the caller's timeline, so the
-    // measured wall clock contains ~busy_millis of region time.
-    const double modeled = total_millis - parallel_agg.busy_millis +
-                           parallel_agg.modeled_millis;
-    stats->modeled_total_millis =
-        modeled > parallel_agg.modeled_millis ? modeled
-                                              : parallel_agg.modeled_millis;
   }
   return result;
 }

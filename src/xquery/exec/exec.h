@@ -25,9 +25,6 @@ namespace xbench::xquery::exec {
 /// stopwatch is live), the children are scaled down proportionally
 /// rather than the parent's self time clamping at 0 — so Σ self_millis
 /// telescopes to exactly the root's inclusive time for every plan.
-/// Validators still relax the Σself-vs-exec tolerance when a plan
-/// reports max_parallelism > 1 (the root's wall clock itself is noisier
-/// there).
 struct OperatorStats {
   std::string label;
   /// Nesting depth in the plan tree (root = 0).
@@ -40,11 +37,6 @@ struct OperatorStats {
   double self_millis = 0;
   /// Morsels this operator's parallel regions executed (0 = scalar).
   uint64_t morsels = 0;
-  /// Σ thread-CPU of those morsels across all pool lanes.
-  double parallel_busy_millis = 0;
-  /// Modeled makespan of those morsels list-scheduled onto
-  /// `ExecStats::max_parallelism` ideal lanes.
-  double parallel_modeled_millis = 0;
   /// Cost-model row estimate frozen into the plan for this operator
   /// (index probes only); -1 = no estimate. Reported next to the
   /// measured rows_out so explain output can show estimated vs. actual.
@@ -54,29 +46,13 @@ struct OperatorStats {
 /// Snapshot of every operator's counters, in plan pre-order (root first).
 struct ExecStats {
   std::vector<OperatorStats> operators;
-  /// Wall time of the whole operator-tree run; the per-operator self
-  /// times sum to the root operator's inclusive share of it (within
-  /// measurement noise).
+  /// Wall time of the whole operator-tree run on this host's cores,
+  /// parallel regions included; the per-operator self times sum to the
+  /// root operator's inclusive share of it.
   double total_millis = 0;
   /// Intra-query parallelism bound the plan was compiled with (1 =
   /// scalar; mirrors CompilationOptions::parallelism.max_intra).
   int max_parallelism = 1;
-  /// Σ morsel thread-CPU over every parallel region of the run.
-  double parallel_busy_millis = 0;
-  /// The part of parallel_busy_millis the calling thread itself ran
-  /// (already contained in any caller-side CPU measurement of the run).
-  double parallel_caller_busy_millis = 0;
-  /// Σ modeled region makespans (greedy list-scheduling of measured
-  /// morsel CPU onto max_parallelism lanes).
-  double parallel_modeled_millis = 0;
-  /// total_millis with each parallel region's measured all-lane CPU
-  /// replaced by its modeled makespan: the modeled wall time of this
-  /// execution on a machine with max_parallelism free cores. Equals
-  /// total_millis for scalar plans. This is the number bench_query
-  /// --parallelism reports, mirroring the throughput driver's
-  /// thread-CPU makespan convention for hosts with fewer cores than
-  /// lanes.
-  double modeled_total_millis = 0;
 };
 
 class ItemOp;

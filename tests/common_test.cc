@@ -234,13 +234,7 @@ TEST(WorkerPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   for (size_t i = 0; i < kTotal; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  EXPECT_EQ(stats.parallelism, 4);
   EXPECT_GT(stats.morsels, 1u);
-  EXPECT_GE(stats.busy_millis, stats.caller_busy_millis);
-  // The modeled makespan schedules the measured morsel CPU onto 4 ideal
-  // lanes: bounded by the serial work above and by work/4 below.
-  EXPECT_LE(stats.modeled_millis, stats.busy_millis + 1e-9);
-  EXPECT_GE(stats.modeled_millis, stats.busy_millis / 4.0 - 1e-9);
 }
 
 TEST(WorkerPoolTest, ParallelForZeroTotalIsANoOp) {
@@ -250,7 +244,6 @@ TEST(WorkerPoolTest, ParallelForZeroTotalIsANoOp) {
       0, 4, [](size_t) { return Status::Internal("never called"); }, &stats);
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(stats.morsels, 0u);
-  EXPECT_EQ(stats.busy_millis, 0.0);
 }
 
 TEST(WorkerPoolTest, ParallelismOneRunsEverythingOnTheCaller) {
@@ -271,9 +264,7 @@ TEST(WorkerPoolTest, ParallelismOneRunsEverythingOnTheCaller) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(count.load(), kTotal);
   EXPECT_FALSE(off_thread.load());
-  EXPECT_EQ(stats.parallelism, 1);
-  // Every morsel ran on the caller, so the caller's CPU is all of it.
-  EXPECT_DOUBLE_EQ(stats.busy_millis, stats.caller_busy_millis);
+  EXPECT_GT(stats.morsels, 0u);
 }
 
 TEST(WorkerPoolTest, LowestFailingIndexStatusWinsDeterministically) {

@@ -518,17 +518,7 @@ TEST(PlanExecTest, ParallelPlansLabelOperatorsAndReportMorselStats) {
   }
   EXPECT_GT(morsels, 0u) << "Q8's descendant step should have split into "
                             "morsels on this collection";
-  // The modeled makespan replaces each region's measured all-lane CPU
-  // with its list-scheduled makespan on 4 ideal lanes: never more than
-  // the serial work, never less than a quarter of it.
-  EXPECT_GT(stats.parallel_busy_millis, 0.0);
-  EXPECT_LE(stats.parallel_modeled_millis,
-            stats.parallel_busy_millis + 1e-9);
-  EXPECT_GE(stats.parallel_modeled_millis,
-            stats.parallel_busy_millis / 4.0 - 1e-9);
-  EXPECT_GT(stats.modeled_total_millis, 0.0);
-  // Thread-CPU vs wall-clock granularity: allow a little slack.
-  EXPECT_LE(stats.modeled_total_millis, stats.total_millis * 1.05 + 0.5);
+  EXPECT_GT(stats.total_millis, 0.0);
 }
 
 // --- Xcolumn AST cache ------------------------------------------------------

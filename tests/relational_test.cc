@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
+#include <utility>
+#include <vector>
 
+#include "common/strings.h"
 #include "relational/btree.h"
 #include "relational/exec.h"
 #include "relational/schema.h"
@@ -149,7 +153,7 @@ TEST(BTreeTest, UnboundedRangeVisitsAll) {
   VirtualClock clock;
   BTreeIndex tree(clock);
   for (int i = 0; i < 300; ++i) {
-    tree.Insert({Value::String("k" + std::to_string(i))}, i);
+    tree.Insert({Value::String(StrCat({"k", std::to_string(i)}))}, i);
   }
   size_t count = 0;
   tree.Range(nullptr, nullptr, [&](const Key&, storage::RecordId) {
@@ -219,7 +223,8 @@ TEST_F(TableFixture, IndexMaintainedOnInsert) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(table
                     ->Insert({Value::Int(i),
-                              Value::String("n" + std::to_string(i % 10)),
+                              Value::String(
+                                  StrCat({"n", std::to_string(i % 10)})),
                               Value::Double(0)})
                     .ok());
   }
@@ -302,6 +307,52 @@ TEST(ExecTest, LeftOuterJoinPadsNulls) {
   ASSERT_EQ(joined.size(), 2u);
   EXPECT_TRUE(joined[0][1].is_null());
   EXPECT_EQ(joined[1][2].AsString(), "match");
+}
+
+// Hash joins must pair exactly the keys Value::Compare calls equal:
+// across int and double, never between a number and a string, never on a
+// near-equal double, never on NULL; -0.0 meets 0.
+TEST(ExecTest, HashJoinsAgreeWithCompareOnMixedKeys) {
+  const std::vector<Value> keys = {
+      Value::Int(3),      Value::Double(3.0), Value::Double(3.0000001),
+      Value::String("3"), Value::Null(),      Value::Double(-0.0),
+      Value::Int(0)};
+  RowSet left;
+  RowSet right;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    left.push_back({keys[i], Value::Int(static_cast<int64_t>(i))});
+    right.push_back({keys[i], Value::Int(static_cast<int64_t>(100 + i))});
+  }
+  auto equal_keys = [](const Value& a, const Value& b) {
+    return !a.is_null() && !b.is_null() &&
+           a.Compare(b) == std::strong_ordering::equal;
+  };
+  // (left id, right id) pairs; right id -1 = outer-join padding.
+  using Pairs = std::vector<std::pair<int64_t, int64_t>>;
+  Pairs inner_expected;
+  Pairs outer_expected;
+  for (const Row& l : left) {
+    bool matched = false;
+    for (const Row& r : right) {
+      if (!equal_keys(l[0], r[0])) continue;
+      matched = true;
+      inner_expected.emplace_back(l[1].AsInt(), r[1].AsInt());
+      outer_expected.emplace_back(l[1].AsInt(), r[1].AsInt());
+    }
+    if (!matched) outer_expected.emplace_back(l[1].AsInt(), -1);
+  }
+  auto pairs_of = [](const RowSet& rows) {
+    Pairs out;
+    for (const Row& row : rows) {
+      out.emplace_back(row[1].AsInt(), row[3].is_null() ? -1 : row[3].AsInt());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::sort(inner_expected.begin(), inner_expected.end());
+  std::sort(outer_expected.begin(), outer_expected.end());
+  EXPECT_EQ(pairs_of(HashJoin(left, 0, right, 0)), inner_expected);
+  EXPECT_EQ(pairs_of(LeftOuterHashJoin(left, 0, right, 0, 2)), outer_expected);
 }
 
 TEST(ExecTest, GroupCountAndDistinct) {

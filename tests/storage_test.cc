@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
 #include "storage/heap_file.h"
@@ -172,7 +173,7 @@ TEST(HeapFileTest, ScanEarlyStop) {
   SimulatedDisk disk;
   BufferPool pool(disk, 16);
   HeapFile file(disk, pool);
-  for (int i = 0; i < 10; ++i) file.Append("r" + std::to_string(i));
+  for (int i = 0; i < 10; ++i) file.Append(StrCat({"r", std::to_string(i)}));
   int count = 0;
   file.Scan([&](RecordId, std::string_view) { return ++count < 3; });
   EXPECT_EQ(count, 3);

@@ -61,31 +61,15 @@ xbench::Result<bool> RequireBool(const JsonValue& object, const char* key) {
 
 /// Per-operator counters attached to a compiled-plan query entry. Sums
 /// the operators' self times into `self_millis_sum` for the profile
-/// consistency check and reports the plan's intra-query parallelism
-/// bound through `max_parallelism` (1 when the key is absent).
+/// consistency check.
 Status CheckPlan(const JsonValue& plan, size_t* operators_seen,
-                 double* self_millis_sum, double* max_parallelism) {
+                 double* self_millis_sum) {
   if (!plan.is_object()) return SchemaError("\"plan\" is not an object");
   XBENCH_RETURN_IF_ERROR(RequireBool(plan, "compiled").status());
   XBENCH_RETURN_IF_ERROR(RequireBool(plan, "cache_hit").status());
   // The access-path decision summary (e.g. "IndexScan(item/@id = …)",
   // "guided-walk", "full-scan") is part of every compiled plan entry.
   XBENCH_RETURN_IF_ERROR(RequireString(plan, "access_path"));
-  *max_parallelism = 1;
-  if (const JsonValue* parallelism = plan.Find("max_parallelism")) {
-    if (!parallelism->is_number()) {
-      return SchemaError("\"max_parallelism\" is not a number");
-    }
-    *max_parallelism = parallelism->number;
-    if (parallelism->number > 1) {
-      // Parallel plans always report their morsel totals.
-      for (const char* key : {"morsels", "parallel_busy_millis",
-                              "parallel_modeled_millis",
-                              "modeled_total_millis"}) {
-        XBENCH_RETURN_IF_ERROR(RequireNumber(plan, key));
-      }
-    }
-  }
   const JsonValue* operators = plan.Find("operators");
   if (operators == nullptr || !operators->is_array()) {
     return SchemaError("\"plan\" lacks an \"operators\" array");
@@ -119,13 +103,11 @@ Status CheckPlan(const JsonValue& plan, size_t* operators_seen,
 /// times: the self times partition the operator tree's inclusive root
 /// time, so their sum must equal exec_millis within 5% (plus a small
 /// absolute floor for sub-millisecond runs where timer granularity
-/// dominates). Plans compiled with max_parallelism > 1 get a much wider
-/// tolerance: morsel regions run work on pool lanes whose wall time
-/// overlaps the caller's, so self times no longer partition the root's
-/// inclusive time (see the OperatorStats invariant note in exec.h).
+/// dominates). The self times telescope exactly at every parallelism
+/// bound (see the OperatorStats note in exec.h), so one tolerance covers
+/// every plan.
 Status CheckProfile(const JsonValue& profile, double plan_self_millis,
-                    bool has_plan, double plan_max_parallelism,
-                    size_t* profiles_seen) {
+                    bool has_plan, size_t* profiles_seen) {
   if (!profile.is_object()) return SchemaError("\"profile\" is not an object");
   for (const char* key :
        {"parse_millis", "analyze_millis", "plan_millis", "engine_millis",
@@ -135,9 +117,7 @@ Status CheckProfile(const JsonValue& profile, double plan_self_millis,
   XBENCH_RETURN_IF_ERROR(RequireBool(profile, "compile_cache_hit").status());
   if (has_plan) {
     const double exec = profile.Find("exec_millis")->number;
-    const bool parallel = plan_max_parallelism > 1;
-    const double tolerance =
-        parallel ? std::max(0.50 * exec, 2.0) : std::max(0.05 * exec, 0.5);
+    const double tolerance = std::max(0.05 * exec, 0.5);
     if (std::fabs(plan_self_millis - exec) > tolerance) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
@@ -163,15 +143,12 @@ Status CheckQuery(const JsonValue& query, size_t* operators_seen,
   XBENCH_RETURN_IF_ERROR(RequireString(query, "answer_hash"));
   const JsonValue* plan = query.Find("plan");
   double self_millis_sum = 0;
-  double max_parallelism = 1;
   if (plan != nullptr) {
-    XBENCH_RETURN_IF_ERROR(CheckPlan(*plan, operators_seen, &self_millis_sum,
-                                     &max_parallelism));
+    XBENCH_RETURN_IF_ERROR(CheckPlan(*plan, operators_seen, &self_millis_sum));
   }
   if (const JsonValue* profile = query.Find("profile")) {
     XBENCH_RETURN_IF_ERROR(CheckProfile(*profile, self_millis_sum,
-                                        plan != nullptr, max_parallelism,
-                                        profiles_seen));
+                                        plan != nullptr, profiles_seen));
   }
   return Status::Ok();
 }
@@ -294,7 +271,7 @@ Status CheckThroughputReport(const JsonValue& root, std::string* summary) {
     if (!row.is_object()) return SchemaError("mpl entry is not an object");
     for (const char* key :
          {"mpl", "intra", "ops", "failures", "hash_mismatches",
-          "makespan_millis", "qps", "mean_millis", "p50_millis", "p90_millis",
+          "wall_millis", "qps", "mean_millis", "p50_millis", "p90_millis",
           "p99_millis", "p999_millis"}) {
       XBENCH_RETURN_IF_ERROR(RequireNumber(row, key));
     }
