@@ -4,16 +4,10 @@
 // runs in paper-table order. Replaces the former one-binary-per-query
 // bench_q5/q8/q12/q14/q17 set.
 //
-// Usage: bench_query [--query Q1..Q20] [--profile] [--parallelism 1,2,4]
-//   --parallelism runs the intra-query parallelism sweep instead of the
-//   paper tables: each query executes once per listed bound on the native
-//   engine and the measured execution wall time per bound is reported
-//   (XBENCH_REPORT=<path> writes the JSON artifact).
+// Usage: bench_query [--query Q1..Q20] [--profile]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 
@@ -55,7 +49,6 @@ int main(int argc, char** argv) {
   bool profile = false;
   bool have_query = false;
   QueryId id = QueryId::kQ5;
-  std::vector<int> parallelisms;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--profile") {
@@ -66,42 +59,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_query = true;
-    } else if (arg == "--parallelism" && i + 1 < argc) {
-      std::string list = argv[++i];
-      size_t pos = 0;
-      while (pos < list.size()) {
-        const size_t comma = list.find(',', pos);
-        const std::string item =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        const int p = std::atoi(item.c_str());
-        if (p <= 0) {
-          std::fprintf(stderr, "bad --parallelism entry '%s'\n", item.c_str());
-          return 2;
-        }
-        parallelisms.push_back(p);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      if (parallelisms.empty()) {
-        std::fprintf(stderr, "--parallelism needs at least one value\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
-                   "usage: bench_query [--query Q1..Q20] [--profile] "
-                   "[--parallelism 1,2,4]\n");
+                   "usage: bench_query [--query Q1..Q20] [--profile]\n");
       return 2;
     }
-  }
-  if (!parallelisms.empty()) {
-    std::vector<QueryId> queries;
-    if (have_query) {
-      queries.push_back(id);
-    } else {
-      queries = {QueryId::kQ5, QueryId::kQ8, QueryId::kQ12, QueryId::kQ14,
-                 QueryId::kQ17};
-    }
-    return xbench::bench::RunQueryParallelismBench(queries, parallelisms);
   }
   if (have_query) {
     return xbench::bench::RunQueryTableBench(id, PaperTableFor(id), profile);

@@ -8,14 +8,11 @@
 // thread-safe engine paths.
 //
 // Usage: bench_throughput [--engine NAME] [--class CLS] [--mpl 1,2,4]
-//                         [--intra 1,4] [--ops N] [--slo-p99-millis X]
+//                         [--ops N] [--slo-p99-millis X]
 //   --engine  registry name: native (default), clob, shred-db2,
 //             shred-mssql
 //   --class   tcsd (default), tcmd, dcsd, dcmd
 //   --mpl     comma-separated MPLs (default 1,2,4,8,16)
-//   --intra   comma-separated intra-query parallelism bounds, crossed
-//             with --mpl (default 1 = scalar execution) — contrasts
-//             inter-query concurrency with morsel-driven parallelism
 //   --ops     statements per session per MPL (default 8)
 //   --slo-p99-millis  fail (exit 1) if any MPL's p99 latency exceeds X
 // XBENCH_REPORT=<path> writes the machine-readable JSON report,
@@ -94,27 +91,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--mpl needs at least one value\n");
         return 2;
       }
-    } else if (arg == "--intra" && i + 1 < argc) {
-      options.intra.clear();
-      std::string list = argv[++i];
-      size_t pos = 0;
-      while (pos < list.size()) {
-        const size_t comma = list.find(',', pos);
-        const std::string item =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        const int intra = std::atoi(item.c_str());
-        if (intra <= 0) {
-          std::fprintf(stderr, "bad --intra entry '%s'\n", item.c_str());
-          return 2;
-        }
-        options.intra.push_back(intra);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      if (options.intra.empty()) {
-        std::fprintf(stderr, "--intra needs at least one value\n");
-        return 2;
-      }
     } else if (arg == "--ops" && i + 1 < argc) {
       options.ops_per_session = std::atoi(argv[++i]);
       if (options.ops_per_session < 1) {
@@ -130,7 +106,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_throughput [--engine NAME] [--class CLS] "
-                   "[--mpl 1,2,4] [--intra 1,4] [--ops N] "
+                   "[--mpl 1,2,4] [--ops N] "
                    "[--slo-p99-millis X]\n");
       return 2;
     }
@@ -154,16 +130,16 @@ int main(int argc, char** argv) {
   }
   const harness::ThroughputReport& report = run.value();
 
-  std::printf("%-5s %6s %8s %10s %9s %10s %10s %10s %10s %10s %9s\n", "MPL",
-              "intra", "ops", "qps", "speedup", "mean-ms", "p50-ms", "p90-ms",
-              "p99-ms", "p999-ms", "mismatch");
+  std::printf("%-5s %8s %10s %9s %10s %10s %10s %10s %10s %9s\n", "MPL",
+              "ops", "qps", "speedup", "mean-ms", "p50-ms", "p90-ms", "p99-ms",
+              "p999-ms", "mismatch");
   for (const harness::MplResult& row : report.mpls) {
     std::printf(
-        "%-5d %6d %8llu %10.1f %8.2fx %10.3f %10.3f %10.3f %10.3f %10.3f "
+        "%-5d %8llu %10.1f %8.2fx %10.3f %10.3f %10.3f %10.3f %10.3f "
         "%9llu%s\n",
-        row.mpl, row.intra, static_cast<unsigned long long>(row.ops), row.qps,
-        row.intra == 1 ? report.SpeedupAt(row.mpl) : 0.0, row.mean_millis,
-        row.p50_millis, row.p90_millis, row.p99_millis, row.p999_millis,
+        row.mpl, static_cast<unsigned long long>(row.ops), row.qps,
+        report.SpeedupAt(row.mpl), row.mean_millis, row.p50_millis,
+        row.p90_millis, row.p99_millis, row.p999_millis,
         static_cast<unsigned long long>(row.hash_mismatches),
         row.slo_ok ? "" : "  SLO-VIOLATION");
   }

@@ -48,9 +48,9 @@ int DefaultThreadCount() {
     const int parsed = std::atoi(env);
     if (parsed > 0) return std::min(parsed, 64);
   }
-  // At least 3 workers so a parallelism-4 region is genuinely 4-lane
-  // concurrent (caller + 3) even on small hosts — that concurrency is
-  // what the TSAN smoke exercises.
+  // At least 3 workers so a wide region is genuinely 4-lane concurrent
+  // (caller + 3) even on small hosts — that concurrency is what the
+  // TSAN smoke exercises.
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(hw, 3u, 16u));
 }

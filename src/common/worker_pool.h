@@ -42,7 +42,7 @@ struct ParallelRunStats {
 class WorkerPool {
  public:
   /// The process-wide pool. Thread count is hardware_concurrency clamped
-  /// to [2, 16], overridable with the XBENCH_EXEC_WORKERS environment
+  /// to [3, 16], overridable with the XBENCH_EXEC_WORKERS environment
   /// variable; the instance leaks by design (workers live for the
   /// process, same pattern as MetricsRegistry).
   static WorkerPool& Default();

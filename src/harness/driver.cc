@@ -224,11 +224,6 @@ std::string Driver::JsonReport(const ReportOptions& options) {
                 writer.Key("compiled").Bool(true);
                 writer.Key("cache_hit").Bool(result.plan_cache_hit);
                 writer.Key("access_path").String(result.access_path);
-                writer.Key("max_parallelism")
-                    .Uint(static_cast<uint64_t>(
-                        plan_stats.max_parallelism > 0
-                            ? plan_stats.max_parallelism
-                            : 1));
                 writer.Key("operators").BeginArray();
                 for (const xquery::exec::OperatorStats& op :
                      plan_stats.operators) {

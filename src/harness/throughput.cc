@@ -54,7 +54,6 @@ double ThroughputReport::SpeedupAt(int mpl) const {
   double base_qps = 0;
   double at_qps = 0;
   for (const MplResult& result : mpls) {
-    if (result.intra != 1) continue;
     if (result.mpl == 1) base_qps = result.qps;
     if (result.mpl == mpl) at_qps = result.qps;
   }
@@ -93,8 +92,6 @@ void WriteJson(const ThroughputReport& report, obs::JsonWriter& writer) {
     writer.BeginObject()
         .Key("mpl")
         .Uint(static_cast<uint64_t>(result.mpl))
-        .Key("intra")
-        .Uint(static_cast<uint64_t>(result.intra))
         .Key("ops")
         .Uint(result.ops)
         .Key("failures")
@@ -184,21 +181,11 @@ Result<ThroughputReport> ThroughputDriver::Run() {
   mix = std::move(supported);
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-  const std::vector<int> intras =
-      options_.intra.empty() ? std::vector<int>{1} : options_.intra;
   for (int mpl : options_.mpls) {
     if (mpl <= 0) {
       return Status::InvalidArgument("MPL values must be positive");
     }
-    for (int intra : intras) {
-    if (intra <= 0) {
-      return Status::InvalidArgument("intra values must be positive");
-    }
-    // Histogram / gauge tag: classic names for scalar rows, an .intraM
-    // segment for morsel-parallel rows (so old dashboards keep working).
-    const std::string tag =
-        "mpl" + std::to_string(mpl) +
-        (intra > 1 ? ".intra" + std::to_string(intra) : "");
+    const std::string tag = "mpl" + std::to_string(mpl);
     std::vector<workload::Session> sessions;
     sessions.reserve(static_cast<size_t>(mpl));
     for (int s = 0; s < mpl; ++s) {
@@ -221,7 +208,6 @@ Result<ThroughputReport> ThroughputDriver::Run() {
       workload::RunOptions run_options;
       run_options.cold = false;
       run_options.collect_plan_stats = false;
-      run_options.compile.parallelism.max_intra = intra;
       for (int op = 0; op < ops; ++op) {
         // Offset by the session index so concurrent sessions interleave
         // different statements instead of marching in lockstep.
@@ -251,7 +237,6 @@ Result<ThroughputReport> ThroughputDriver::Run() {
 
     MplResult result;
     result.mpl = mpl;
-    result.intra = intra;
     result.wall_millis = wall.ElapsedMillis();
     for (const SessionOutcome& outcome : outcomes) {
       result.ops += outcome.ops;
@@ -287,7 +272,6 @@ Result<ThroughputReport> ThroughputDriver::Run() {
     metrics.GetCounter("xbench.concurrency.ops").Increment(result.ops);
     metrics.GetCounter("xbench.concurrency.hash_mismatches")
         .Increment(result.hash_mismatches);
-    }
   }
   metrics.GetGauge("xbench.concurrency.max_speedup")
       .Set([&report] {

@@ -28,28 +28,19 @@ struct ThroughputOptions {
   std::vector<workload::QueryId> mix;
   /// Statements each session executes per MPL run.
   int ops_per_session = 8;
-  /// Intra-query parallelism bounds to sweep (cross product with `mpls`):
-  /// each session runs its statements with
-  /// RunOptions::compile.parallelism.max_intra set to the value, so the
-  /// sweep contrasts inter-query concurrency (MPL) with intra-query morsel
-  /// parallelism. {1} (the default) keeps the classic scalar sweep.
-  std::vector<int> intra = {1};
   /// SLO gate: when positive, an MPL whose p99 latency exceeds this many
   /// milliseconds is flagged (MplResult::slo_ok = false) and
   /// ThroughputReport::SloSatisfied() turns false. 0 disables the gate.
   double slo_p99_millis = 0;
 };
 
-/// One (MPL, intra) data point. Latency percentiles come from a
-/// log-bucketed `xbench.concurrency.mpl<N>.latency_micros` histogram
-/// (`mpl<N>.intra<M>.latency_micros` when intra > 1) of per-statement
+/// One MPL data point. Latency percentiles come from a log-bucketed
+/// `xbench.concurrency.mpl<N>.latency_micros` histogram of per-statement
 /// samples (see obs::Histogram for the relative-error bound), recorded in
 /// microseconds and reported in milliseconds. A statement's latency is
 /// its Session wall time plus the simulated-disk time attributed to it.
 struct MplResult {
   int mpl = 1;
-  /// Intra-query parallelism bound the sessions ran with.
-  int intra = 1;
   uint64_t ops = 0;
   uint64_t failures = 0;
   /// Statements whose canonical answer hash differed from the serial
@@ -90,8 +81,7 @@ struct ThroughputReport {
   bool AllAnswersMatchSerial() const;
   /// True when every MPL met the p99 SLO (vacuously true when disabled).
   bool SloSatisfied() const;
-  /// qps at `mpl` divided by qps at MPL 1, over the scalar (intra == 1)
-  /// rows (0 when either is missing).
+  /// qps at `mpl` divided by qps at MPL 1 (0 when either is missing).
   double SpeedupAt(int mpl) const;
 };
 

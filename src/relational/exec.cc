@@ -54,20 +54,7 @@ void SortRows(RowSet& rows, const std::vector<SortSpec>& specs) {
     for (const SortSpec& spec : specs) {
       const Value& va = a[static_cast<size_t>(spec.column)];
       const Value& vb = b[static_cast<size_t>(spec.column)];
-      std::strong_ordering cmp = std::strong_ordering::equal;
-      if (spec.numeric && !va.is_null() && !vb.is_null()) {
-        const double da = va.type() == ValueType::kString
-                              ? std::stod(va.AsString())
-                              : va.AsDouble();
-        const double db = vb.type() == ValueType::kString
-                              ? std::stod(vb.AsString())
-                              : vb.AsDouble();
-        cmp = da < db    ? std::strong_ordering::less
-              : da > db ? std::strong_ordering::greater
-                        : std::strong_ordering::equal;
-      } else {
-        cmp = va.Compare(vb);
-      }
+      const std::strong_ordering cmp = va.Compare(vb);
       if (cmp == std::strong_ordering::equal) continue;
       const bool less = cmp == std::strong_ordering::less;
       return spec.ascending ? less : !less;

@@ -28,12 +28,10 @@ RowSet IndexLookup(Table& table, const std::string& index_name,
 RowSet IndexRange(Table& table, const std::string& index_name, const Key* lo,
                   const Key* hi);
 
-/// One sort criterion. `numeric` casts the column to double before
-/// comparing (Q10/Q11 distinguish string vs non-string sorts).
+/// One sort criterion, compared with Value::Compare.
 struct SortSpec {
   int column = 0;
   bool ascending = true;
-  bool numeric = false;
 };
 
 void SortRows(RowSet& rows, const std::vector<SortSpec>& specs);

@@ -671,7 +671,7 @@ Result<std::vector<std::string>> ShredQ10(ShredEngine& e,
   XBENCH_ASSIGN_OR_RETURN(Table * orders, Find(e.tables(), "order_tab"));
   RowSet rows =
       relational::SeqScan(*orders, InPeriod(*orders, "order_date", p));
-  relational::SortRows(rows, {{Col(*orders, "ship_type"), true, false}});
+  relational::SortRows(rows, {{Col(*orders, "ship_type"), true}});
   std::vector<std::string> out;
   for (const Row& row : rows) {
     out.push_back("<o><id>" +
@@ -700,7 +700,7 @@ Result<std::vector<std::string>> ShredQ11(ShredEngine& e,
       }
     }
   }
-  relational::SortRows(quote_rows, {{Col(*quotes, "qd"), true, false}});
+  relational::SortRows(quote_rows, {{Col(*quotes, "qd"), true}});
   std::vector<std::string> out;
   for (const Row& row : quote_rows) {
     out.push_back("<quote><qau>" +
@@ -1119,7 +1119,7 @@ Result<std::vector<std::string>> ClobExtended(ClobEngine& e, QueryId id,
       XBENCH_ASSIGN_OR_RETURN(Table * orders, Find(db, "side_order"));
       RowSet rows =
           relational::SeqScan(*orders, InPeriod(*orders, "order_date", p));
-      relational::SortRows(rows, {{Col(*orders, "ship_type"), true, false}});
+      relational::SortRows(rows, {{Col(*orders, "ship_type"), true}});
       std::vector<std::string> out;
       for (const Row& row : rows) {
         out.push_back("<o><id>" +

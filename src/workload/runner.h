@@ -102,15 +102,12 @@ struct RunOptions {
   bool profile = false;
   /// Structured compilation options for the native compiled path:
   /// access-path policy (auto / force-guided / force-scan /
-  /// force-index), cost-model knobs, and intra-query parallelism
-  /// (compile.parallelism.max_intra; answers are byte-identical to scalar
-  /// execution). The session clamps the policy against the engine's
-  /// guided-eval gate before compiling — forcing guided on an unvalidated
-  /// collection degrades to full scans rather than risk a wrong answer —
-  /// and the plan cache keys on the policy + parallelism + catalog epoch,
-  /// so differently-optioned plans coexist in the statement cache.
-  /// Defaults (kAuto, guided allowed, scalar) reproduce the old behavior
-  /// of the retired use_guided/max_intra_parallelism flags.
+  /// force-index) and cost-model knobs. The session clamps the policy
+  /// against the engine's guided-eval gate before compiling — forcing
+  /// guided on an unvalidated collection degrades to full scans rather
+  /// than risk a wrong answer — and the plan cache keys on the policy +
+  /// catalog epoch, so differently-optioned plans coexist in the
+  /// statement cache.
   xquery::plan::CompilationOptions compile;
 };
 

@@ -51,7 +51,6 @@ xquery::plan::CompilationOptions ClampForEngine(
     }
   }
   options.cost_model.trust_statistics = false;
-  if (options.parallelism.max_intra < 1) options.parallelism.max_intra = 1;
   return options;
 }
 
@@ -76,7 +75,6 @@ Result<std::shared_ptr<const xquery::plan::CompiledQuery>> PrepareNativePlan(
       static_cast<int>(db_class),
       static_cast<int>(EngineKind::kNative),
       guided,
-      options.parallelism.max_intra,
       static_cast<int>(policy.mode),
       policy.forced_index,
       catalog.epoch};

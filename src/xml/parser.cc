@@ -164,10 +164,14 @@ class ParserImpl {
         const char* num_begin = digits.c_str() + (hex ? 1 : 0);
         const long code = std::strtol(num_begin, &parse_end, hex ? 16 : 10);
         // At least one digit must be consumed; the encoder below emits at
-        // most three UTF-8 bytes, so the accepted range is the BMP (and
-        // NUL is excluded — XML forbids it in content).
-        if (parse_end == num_begin || *parse_end != '\0' || code <= 0 ||
-            code > 0xFFFF) {
+        // most three UTF-8 bytes, so the accepted range is the BMP, less
+        // what XML 1.0's Char production excludes: C0 controls other than
+        // TAB/LF/CR (NUL included), the UTF-16 surrogates (which have no
+        // valid UTF-8 encoding) and U+FFFE/U+FFFF.
+        const bool is_char = code == 0x9 || code == 0xA || code == 0xD ||
+                             (code >= 0x20 && code <= 0xD7FF) ||
+                             (code >= 0xE000 && code <= 0xFFFD);
+        if (parse_end == num_begin || *parse_end != '\0' || !is_char) {
           return Error("invalid character reference '&" + std::string(entity) +
                        ";'");
         }

@@ -1,7 +1,6 @@
 #include "xquery/exec/exec.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <set>
 #include <utility>
@@ -28,7 +27,7 @@ using plan::ProbeKind;
 using Env = std::vector<ScopeBinding>;
 
 /// Owner of constructor-built nodes (QueryResult::constructed and the
-/// per-morsel scratch arenas share this shape).
+/// per-index scratch arenas of a wide region share this shape).
 using Arena = std::vector<std::unique_ptr<xml::Node>>;
 
 /// Tuples pulled per NextBatch() call. Large enough to amortize the
@@ -46,8 +45,8 @@ constexpr size_t kTupleBatch = 64;
 /// operator mutates them mid-region) and increment the atomic
 /// nodes_visited counter, but must not touch arena, stats, or the scope
 /// stack — each task writes only its own index's output slot and a
-/// task-private arena that the owning operator splices back in a fixed
-/// order after the region joins.
+/// task-private arena that RunParallel splices back in a fixed order
+/// after the region joins.
 struct ExecContext {
   const Bindings* bindings = nullptr;
   const EvalOptions* options = nullptr;
@@ -62,25 +61,47 @@ struct ExecContext {
   bool trace = false;
 };
 
-/// Moves per-morsel scratch arenas into the run arena in morsel order, so
-/// node ownership (and destruction order) is identical no matter which
-/// lane built which node.
-void SpliceArenas(ExecContext& ctx, std::vector<Arena>& arenas) {
-  for (Arena& arena : arenas) {
-    for (auto& node : arena) ctx.arena->push_back(std::move(node));
-    arena.clear();
-  }
+/// Items each lane of a parallel region must get before the region goes
+/// wide. Publishing a region to the pool costs a wake-up and a join per
+/// lane, which a handful of microsecond predicate decisions or tuple keys
+/// cannot repay; a region with fewer than two lanes' worth of items runs
+/// inline on the calling thread.
+constexpr size_t kMinItemsPerLane = 16;
+
+/// Lanes a region of `total` items gets: one per kMinItemsPerLane items,
+/// capped at the shared pool's thread count.
+size_t LanesFor(size_t total) {
+  return std::min<size_t>(
+      static_cast<size_t>(WorkerPool::Default().thread_count()),
+      total / kMinItemsPerLane);
 }
 
-/// Runs fn(0..total-1) on the shared worker pool and books the region's
-/// morsels against the operator's stats slot. Returns the lowest-index
-/// error (matching the scalar loop's first-error semantics regardless of
-/// lane interleaving).
-Status RunParallel(ExecContext& ctx, size_t slot, int parallelism,
-                   size_t total, const std::function<Status(size_t)>& fn) {
+/// Runs fn(i, arena) for i in 0..total-1, sizing the region from its
+/// input (LanesFor). Below two lanes the region runs inline on the caller
+/// with the run arena and books no morsels. Otherwise it runs on the
+/// shared worker pool, each index building nodes into its own scratch
+/// arena; the arenas are spliced into the run arena in index order after
+/// the join, so node ownership is identical no matter which lane built
+/// which node, and the region's morsels are booked against the operator's
+/// stats slot. Either way the lowest-index error is returned, matching a
+/// sequential loop's first error regardless of lane interleaving.
+template <typename Fn>
+Status RunParallel(ExecContext& ctx, size_t slot, size_t total, Fn&& fn) {
+  const size_t lanes = LanesFor(total);
+  if (lanes < 2) {
+    for (size_t i = 0; i < total; ++i) {
+      XBENCH_RETURN_IF_ERROR(fn(i, *ctx.arena));
+    }
+    return Status::Ok();
+  }
+  std::vector<Arena> arenas(total);
   ParallelRunStats stats;
-  const Status status =
-      WorkerPool::Default().ParallelFor(total, parallelism, fn, &stats);
+  const Status status = WorkerPool::Default().ParallelFor(
+      total, static_cast<int>(lanes),
+      [&](size_t i) { return fn(i, arenas[i]); }, &stats);
+  for (Arena& arena : arenas) {
+    for (auto& node : arena) ctx.arena->push_back(std::move(node));
+  }
   (*ctx.stats)[slot].morsels += stats.morsels;
   return status;
 }
@@ -104,8 +125,9 @@ class ScopedTuple {
 };
 
 /// Interpreter-core evaluation of an expression leaf under an explicit
-/// scope and arena — the form morsel tasks use (each task passes its own
-/// scratch arena; the shared scope is read-only while a region runs).
+/// scope and arena — the form region bodies use (each passes the arena
+/// RunParallel hands it; the shared scope is read-only while a region
+/// runs).
 Result<Sequence> EvalLeafIn(const ExecContext& ctx, const Env& scope,
                             Arena& arena, const Expr& expr,
                             const Item* context_item = nullptr,
@@ -138,8 +160,8 @@ Result<bool> PredicateKeeps(const ExecContext& ctx, const Env& scope,
   return EffectiveBooleanValue(value);
 }
 
-/// Predicate application under an explicit scope and arena (the scalar
-/// loop; also the per-morsel body when groups parallelize whole-group).
+/// Predicate application under an explicit scope and arena (the
+/// per-group body when a descendant step fans whole groups out).
 Result<Sequence> RunPredicatesIn(const ExecContext& ctx, const Env& scope,
                                  Arena& arena,
                                  const std::vector<const Expr*>& predicates,
@@ -157,43 +179,24 @@ Result<Sequence> RunPredicatesIn(const ExecContext& ctx, const Env& scope,
   return candidates;
 }
 
-/// Predicate application with positional semantics over the current
-/// scope/arena.
-Result<Sequence> RunPredicates(ExecContext& ctx,
+/// Predicate application over the current scope: each predicate pass
+/// fans the candidate decisions out as one region with the focus (i+1, n)
+/// frozen before the fan-out, then keeps survivors in candidate order —
+/// answers and error selection are byte-identical to a sequential loop.
+Result<Sequence> RunPredicates(ExecContext& ctx, size_t slot,
                                const std::vector<const Expr*>& predicates,
                                Sequence candidates) {
-  return RunPredicatesIn(ctx, ctx.scope, *ctx.arena, predicates,
-                         std::move(candidates));
-}
-
-/// Morsel-parallel predicate application: each predicate pass fans the
-/// candidate decisions out across the pool with the focus (i+1, n)
-/// frozen before the fan-out, then keeps survivors in candidate order —
-/// answers and error selection are byte-identical to the scalar loop.
-Result<Sequence> RunPredicatesParallel(
-    ExecContext& ctx, size_t slot, int parallelism,
-    const std::vector<const Expr*>& predicates, Sequence candidates) {
   for (const Expr* pred : predicates) {
     const size_t n = candidates.size();
-    if (n == 0) continue;
-    if (n == 1) {
-      XBENCH_ASSIGN_OR_RETURN(
-          bool keep,
-          PredicateKeeps(ctx, ctx.scope, *ctx.arena, *pred, candidates, 0, 1));
-      if (!keep) candidates.clear();
-      continue;
-    }
     std::vector<signed char> keep(n, 0);
-    std::vector<Arena> arenas(n);
-    const Status status = RunParallel(
-        ctx, slot, parallelism, n, [&](size_t i) -> Status {
+    const Status status =
+        RunParallel(ctx, slot, n, [&](size_t i, Arena& arena) -> Status {
           auto decision =
-              PredicateKeeps(ctx, ctx.scope, arenas[i], *pred, candidates, i, n);
+              PredicateKeeps(ctx, ctx.scope, arena, *pred, candidates, i, n);
           if (!decision.ok()) return decision.status();
           keep[i] = decision.value() ? 1 : 0;
           return Status::Ok();
         });
-    SpliceArenas(ctx, arenas);
     if (!status.ok()) return status;
     Sequence kept;
     for (size_t i = 0; i < n; ++i) {
@@ -202,17 +205,6 @@ Result<Sequence> RunPredicatesParallel(
     candidates = std::move(kept);
   }
   return candidates;
-}
-
-/// Dispatches between the scalar and morsel-parallel predicate paths.
-Result<Sequence> RunPredicatesMaybeParallel(
-    ExecContext& ctx, size_t slot, int parallelism,
-    const std::vector<const Expr*>& predicates, Sequence candidates) {
-  if (parallelism > 1 && candidates.size() > 1) {
-    return RunPredicatesParallel(ctx, slot, parallelism, predicates,
-                                 std::move(candidates));
-  }
-  return RunPredicates(ctx, predicates, std::move(candidates));
 }
 
 }  // namespace
@@ -294,13 +286,12 @@ class AxisStepOp final : public ItemOp {
  public:
   AxisStepOp(std::string label, size_t slot, std::unique_ptr<ItemOp> input,
              Axis axis, std::string name_test,
-             std::vector<const Expr*> predicates, int parallelism)
+             std::vector<const Expr*> predicates)
       : ItemOp(std::move(label), slot),
         input_(std::move(input)),
         axis_(axis),
         name_test_(std::move(name_test)),
-        predicates_(std::move(predicates)),
-        parallelism_(parallelism) {}
+        predicates_(std::move(predicates)) {}
 
  protected:
   Result<Sequence> DoRun(ExecContext& ctx) const override {
@@ -318,9 +309,8 @@ class AxisStepOp final : public ItemOp {
       Sequence candidates = AxisCandidates(*context.node, axis_, name_test_,
                                            *ctx.nodes_visited);
       XBENCH_ASSIGN_OR_RETURN(
-          candidates, RunPredicatesMaybeParallel(ctx, slot(), parallelism_,
-                                                 predicates_,
-                                                 std::move(candidates)));
+          candidates,
+          RunPredicates(ctx, slot(), predicates_, std::move(candidates)));
       result.insert(result.end(), candidates.begin(), candidates.end());
     }
     SortDocumentOrderUnique(result);
@@ -332,7 +322,6 @@ class AxisStepOp final : public ItemOp {
   Axis axis_;
   std::string name_test_;
   std::vector<const Expr*> predicates_;
-  int parallelism_;
 };
 
 /// The fused `//name` operator. The access path is frozen at plan time:
@@ -341,86 +330,29 @@ class AxisStepOp final : public ItemOp {
 /// never drop results); kFullScan always scans the subtree. Predicates
 /// evaluate per parent element — the candidate lists the unfused child
 /// step would build — so positional predicates keep their meaning.
+///
+/// The walk is split into work units run as one RunParallel region. The
+/// final SortDocumentOrderUnique makes the merge order-preserving: units
+/// select disjoint candidate sets, so sorting the concatenation yields
+/// exactly the sequential walk's result.
 class DescendantStepOp final : public ItemOp {
  public:
   DescendantStepOp(std::string label, size_t slot,
                    std::unique_ptr<ItemOp> input, std::string name_test,
                    std::vector<const Expr*> predicates,
-                   std::vector<StepExpansion> expansions, bool guided,
-                   int parallelism)
+                   std::vector<StepExpansion> expansions, bool guided)
       : ItemOp(std::move(label), slot),
         input_(std::move(input)),
         name_test_(std::move(name_test)),
         predicates_(std::move(predicates)),
         expansions_(std::move(expansions)),
-        guided_(guided),
-        parallelism_(parallelism) {}
+        guided_(guided) {}
 
  protected:
   Result<Sequence> DoRun(ExecContext& ctx) const override {
     XBENCH_ASSIGN_OR_RETURN(Sequence input, input_->Run(ctx));
-    if (parallelism_ > 1) return RunMorsels(ctx, input);
-    Sequence result;
-    for (const Item& context : input) {
-      if (!context.is_node_kind()) {
-        return Status::InvalidArgument("path step applied to an atomic value");
-      }
-      if (context.kind == Item::Kind::kAttribute) continue;
-      const xml::Node& node = *context.node;
-      bool covered = false;
-      std::vector<const StepExpansion*> chains = ChainsFor(node, covered);
-      if (predicates_.empty()) {
-        Sequence candidates;
-        if (covered) {
-          GuidedCollect(node, 0, chains, candidates, *ctx.nodes_visited);
-        } else {
-          CollectDescendants(node, name_test_, /*include_self=*/false,
-                             candidates, *ctx.nodes_visited);
-        }
-        result.insert(result.end(), candidates.begin(), candidates.end());
-        continue;
-      }
-      std::vector<Sequence> groups;
-      if (covered) {
-        GuidedCollectGroups(node, 0, chains, groups, *ctx.nodes_visited);
-      } else {
-        CollectChildGroups(node, name_test_, groups, *ctx.nodes_visited);
-      }
-      for (Sequence& group : groups) {
-        XBENCH_ASSIGN_OR_RETURN(
-            group, RunPredicates(ctx, predicates_, std::move(group)));
-        result.insert(result.end(), group.begin(), group.end());
-      }
-    }
-    SortDocumentOrderUnique(result);
-    return result;
-  }
-
- private:
-  /// The analyzer chains applicable to one context element; `covered` is
-  /// set when the guided walk may be used for it.
-  std::vector<const StepExpansion*> ChainsFor(const xml::Node& node,
-                                              bool& covered) const {
-    std::vector<const StepExpansion*> chains;
-    covered = false;
-    if (guided_) {
-      for (const StepExpansion& expansion : expansions_) {
-        if (expansion.context_type == node.name()) {
-          covered = true;
-          chains.push_back(&expansion);
-        }
-      }
-    }
-    return chains;
-  }
-
-  /// Morsel-parallel path. The final SortDocumentOrderUnique (shared
-  /// with the scalar path) makes the merge order-preserving: work units
-  /// select disjoint candidate sets, so sorting the concatenation yields
-  /// exactly the scalar result.
-  Result<Sequence> RunMorsels(ExecContext& ctx, const Sequence& input) const {
     // Context validation up front, in context order, so the surfaced
-    // error matches the scalar loop's first error.
+    // error is the first one a sequential walk would hit.
     for (const Item& context : input) {
       if (!context.is_node_kind()) {
         return Status::InvalidArgument("path step applied to an atomic value");
@@ -443,24 +375,20 @@ class DescendantStepOp final : public ItemOp {
         }
       }
       if (groups.size() == 1) {
-        // One parent group: parallelize across its candidates instead.
+        // One parent group: fan out across its candidates instead.
         XBENCH_ASSIGN_OR_RETURN(
-            Sequence kept,
-            RunPredicatesParallel(ctx, slot(), parallelism_, predicates_,
-                                  std::move(groups.front())));
-        result = std::move(kept);
-      } else if (!groups.empty()) {
+            result,
+            RunPredicates(ctx, slot(), predicates_, std::move(groups.front())));
+      } else {
         std::vector<Sequence> outputs(groups.size());
-        std::vector<Arena> arenas(groups.size());
         const Status status = RunParallel(
-            ctx, slot(), parallelism_, groups.size(), [&](size_t g) -> Status {
-              auto kept = RunPredicatesIn(ctx, ctx.scope, arenas[g],
-                                          predicates_, std::move(groups[g]));
+            ctx, slot(), groups.size(), [&](size_t g, Arena& arena) -> Status {
+              auto kept = RunPredicatesIn(ctx, ctx.scope, arena, predicates_,
+                                          std::move(groups[g]));
               if (!kept.ok()) return kept.status();
               outputs[g] = std::move(kept).value();
               return Status::Ok();
             });
-        SpliceArenas(ctx, arenas);
         if (!status.ok()) return status;
         for (const Sequence& out : outputs) {
           result.insert(result.end(), out.begin(), out.end());
@@ -470,17 +398,18 @@ class DescendantStepOp final : public ItemOp {
       return result;
     }
     // No predicates: pure candidate collection. Work units are whole
-    // contexts when they are plentiful; otherwise each context's child
-    // subtrees (frontier split), so even a single-document query yields
-    // enough morsels to spread.
+    // contexts when there are enough of them to fill every lane;
+    // otherwise each context's child subtrees (frontier split), so even a
+    // single-document query yields enough units to spread.
     size_t element_contexts = 0;
     for (const Item& context : input) {
       if (context.kind != Item::Kind::kAttribute) ++element_contexts;
     }
-    if (element_contexts >= 2 * static_cast<size_t>(parallelism_)) {
+    if (LanesFor(element_contexts) >=
+        static_cast<size_t>(WorkerPool::Default().thread_count())) {
       std::vector<Sequence> outputs(input.size());
       const Status status = RunParallel(
-          ctx, slot(), parallelism_, input.size(), [&](size_t i) -> Status {
+          ctx, slot(), input.size(), [&](size_t i, Arena&) -> Status {
             const Item& context = input[i];
             if (context.kind == Item::Kind::kAttribute) return Status::Ok();
             const xml::Node& node = *context.node;
@@ -525,7 +454,7 @@ class DescendantStepOp final : public ItemOp {
           units.push_back({child.get(), &context_chains.back()});
         }
       } else {
-        // The scalar walk visits the context root itself (and would
+        // A whole-subtree walk visits the context root itself (and would
         // emit it under include_self, which descendant steps never set).
         ctx.nodes_visited->Increment();
         for (const auto& child : node.children()) {
@@ -535,7 +464,7 @@ class DescendantStepOp final : public ItemOp {
     }
     std::vector<Sequence> outputs(units.size());
     const Status status = RunParallel(
-        ctx, slot(), parallelism_, units.size(), [&](size_t i) -> Status {
+        ctx, slot(), units.size(), [&](size_t i, Arena&) -> Status {
           const FrontierUnit& unit = units[i];
           if (unit.chains == nullptr) {
             CollectDescendants(*unit.node, name_test_, /*include_self=*/true,
@@ -572,34 +501,48 @@ class DescendantStepOp final : public ItemOp {
     return result;
   }
 
+ private:
+  /// The analyzer chains applicable to one context element; `covered` is
+  /// set when the guided walk may be used for it.
+  std::vector<const StepExpansion*> ChainsFor(const xml::Node& node,
+                                              bool& covered) const {
+    std::vector<const StepExpansion*> chains;
+    covered = false;
+    if (guided_) {
+      for (const StepExpansion& expansion : expansions_) {
+        if (expansion.context_type == node.name()) {
+          covered = true;
+          chains.push_back(&expansion);
+        }
+      }
+    }
+    return chains;
+  }
+
   std::unique_ptr<ItemOp> input_;
   std::string name_test_;
   std::vector<const Expr*> predicates_;
   std::vector<StepExpansion> expansions_;
   bool guided_;
-  int parallelism_;
 };
 
 class FilterOp final : public ItemOp {
  public:
   FilterOp(std::string label, size_t slot, std::unique_ptr<ItemOp> input,
-           std::vector<const Expr*> predicates, int parallelism)
+           std::vector<const Expr*> predicates)
       : ItemOp(std::move(label), slot),
         input_(std::move(input)),
-        predicates_(std::move(predicates)),
-        parallelism_(parallelism) {}
+        predicates_(std::move(predicates)) {}
 
  protected:
   Result<Sequence> DoRun(ExecContext& ctx) const override {
     XBENCH_ASSIGN_OR_RETURN(Sequence input, input_->Run(ctx));
-    return RunPredicatesMaybeParallel(ctx, slot(), parallelism_, predicates_,
-                                      std::move(input));
+    return RunPredicates(ctx, slot(), predicates_, std::move(input));
   }
 
  private:
   std::unique_ptr<ItemOp> input_;
   std::vector<const Expr*> predicates_;
-  int parallelism_;
 };
 
 class AggregateOp final : public ItemOp {
@@ -648,14 +591,12 @@ class IndexProbeOp final : public ItemOp {
  public:
   IndexProbeOp(std::string label, size_t slot,
                std::unique_ptr<ItemOp> fallback, std::unique_ptr<ItemOp> roots,
-               IndexProbe probe, std::vector<const Expr*> predicates,
-               int parallelism)
+               IndexProbe probe, std::vector<const Expr*> predicates)
       : ItemOp(std::move(label), slot),
         fallback_(std::move(fallback)),
         roots_(std::move(roots)),
         probe_(std::move(probe)),
-        predicates_(std::move(predicates)),
-        parallelism_(parallelism) {}
+        predicates_(std::move(predicates)) {}
 
  protected:
   Result<Sequence> DoRun(ExecContext& ctx) const override {
@@ -718,8 +659,7 @@ class IndexProbeOp final : public ItemOp {
       // document-order sort, so the probe's candidate order matches it.
       SortDocumentOrderUnique(candidates);
     }
-    return RunPredicatesMaybeParallel(ctx, slot(), parallelism_, predicates_,
-                                      std::move(candidates));
+    return RunPredicates(ctx, slot(), predicates_, std::move(candidates));
   }
 
  private:
@@ -765,7 +705,6 @@ class IndexProbeOp final : public ItemOp {
   std::unique_ptr<ItemOp> roots_;
   IndexProbe probe_;
   std::vector<const Expr*> predicates_;
-  int parallelism_;
 };
 
 // --- tuple operators ------------------------------------------------------
@@ -1066,11 +1005,10 @@ std::unique_ptr<TupleCursor> LetOp::MakeCursor(ExecContext& ctx) const {
 class WhereOp final : public TupleOp {
  public:
   WhereOp(std::string label, size_t slot, std::unique_ptr<TupleOp> input,
-          const Expr* condition, int parallelism)
+          const Expr* condition)
       : TupleOp(std::move(label), slot),
         input_(std::move(input)),
-        condition_(condition),
-        parallelism_(parallelism) {}
+        condition_(condition) {}
 
  protected:
   std::unique_ptr<TupleCursor> MakeCursor(ExecContext& ctx) const override;
@@ -1079,7 +1017,6 @@ class WhereOp final : public TupleOp {
   friend class WhereCursor;
   std::unique_ptr<TupleOp> input_;
   const Expr* condition_;
-  int parallelism_;
 };
 
 class WhereCursor final : public TupleCursor {
@@ -1102,9 +1039,9 @@ class WhereCursor final : public TupleCursor {
     }
   }
 
-  /// Batch pull: evaluates the condition over a whole upstream batch,
-  /// fanning the per-tuple decisions across the pool when the plan was
-  /// compiled parallel. Survivors keep upstream order.
+  /// Batch pull: evaluates the condition over a whole upstream batch as
+  /// one region (wide when the batch is large enough). Survivors keep
+  /// upstream order.
   Status DoNextBatch(ExecContext& ctx, std::vector<Env>* out,
                      size_t max) override {
     std::vector<Env> batch;
@@ -1112,35 +1049,23 @@ class WhereCursor final : public TupleCursor {
       XBENCH_RETURN_IF_ERROR(input_->NextBatch(ctx, &batch, max));
       if (batch.empty()) return Status::Ok();  // end of stream
       const size_t n = batch.size();
-      if (op_.parallelism_ > 1 && n > 1) {
-        std::vector<signed char> keep(n, 0);
-        std::vector<Arena> arenas(n);
-        const Status status = RunParallel(
-            ctx, slot(), op_.parallelism_, n, [&](size_t i) -> Status {
-              // The tuple scope the scalar path builds via ScopedTuple,
-              // assembled task-privately (ctx.scope is shared read-only).
-              Env combined = ctx.scope;
-              combined.insert(combined.end(), batch[i].begin(),
-                              batch[i].end());
-              auto condition =
-                  EvalLeafIn(ctx, combined, arenas[i], *op_.condition_);
-              if (!condition.ok()) return condition.status();
-              auto decision = EffectiveBooleanValue(condition.value());
-              if (!decision.ok()) return decision.status();
-              keep[i] = decision.value() ? 1 : 0;
-              return Status::Ok();
-            });
-        SpliceArenas(ctx, arenas);
-        XBENCH_RETURN_IF_ERROR(status);
-        for (size_t i = 0; i < n; ++i) {
-          if (keep[i]) out->push_back(std::move(batch[i]));
-        }
-        continue;
-      }
-      for (Env& base : batch) {
-        auto keep = Keep(ctx, base);
-        if (!keep.ok()) return keep.status();
-        if (keep.value()) out->push_back(std::move(base));
+      std::vector<signed char> keep(n, 0);
+      const Status status =
+          RunParallel(ctx, slot(), n, [&](size_t i, Arena& arena) -> Status {
+            // The tuple scope DoNext builds via ScopedTuple, assembled
+            // task-privately (ctx.scope is shared read-only).
+            Env combined = ctx.scope;
+            combined.insert(combined.end(), batch[i].begin(), batch[i].end());
+            auto condition = EvalLeafIn(ctx, combined, arena, *op_.condition_);
+            if (!condition.ok()) return condition.status();
+            auto decision = EffectiveBooleanValue(condition.value());
+            if (!decision.ok()) return decision.status();
+            keep[i] = decision.value() ? 1 : 0;
+            return Status::Ok();
+          });
+      XBENCH_RETURN_IF_ERROR(status);
+      for (size_t i = 0; i < n; ++i) {
+        if (keep[i]) out->push_back(std::move(batch[i]));
       }
     }
     return Status::Ok();
@@ -1170,11 +1095,10 @@ std::unique_ptr<TupleCursor> WhereOp::MakeCursor(ExecContext& ctx) const {
 class SortOp final : public TupleOp {
  public:
   SortOp(std::string label, size_t slot, std::unique_ptr<TupleOp> input,
-         const Expr* order_source, int parallelism)
+         const Expr* order_source)
       : TupleOp(std::move(label), slot),
         input_(std::move(input)),
-        order_source_(order_source),
-        parallelism_(parallelism) {}
+        order_source_(order_source) {}
 
  protected:
   std::unique_ptr<TupleCursor> MakeCursor(ExecContext& ctx) const override;
@@ -1183,7 +1107,6 @@ class SortOp final : public TupleOp {
   friend class SortCursor;
   std::unique_ptr<TupleOp> input_;
   const Expr* order_source_;
-  int parallelism_;
 };
 
 class SortCursor final : public TupleCursor {
@@ -1247,41 +1170,21 @@ class SortCursor final : public TupleCursor {
     }
     const Expr& e = *op_.order_source_;
     std::vector<Keyed> keyed(tuples.size());
-    if (op_.parallelism_ > 1 && tuples.size() > 1) {
-      // Key extraction is per-tuple independent; only the stable sort
-      // itself stays sequential (it defines the output order).
-      std::vector<Arena> arenas(tuples.size());
-      const Status status = RunParallel(
-          ctx, slot(), op_.parallelism_, tuples.size(),
-          [&](size_t i) -> Status {
-            keyed[i].index = i;
-            Env combined = ctx.scope;
-            combined.insert(combined.end(), tuples[i].begin(),
-                            tuples[i].end());
-            for (const OrderSpec& spec : e.order_by) {
-              auto value = EvalLeafIn(ctx, combined, arenas[i], *spec.key);
-              if (!value.ok()) return value.status();
-              AppendKey(spec, std::move(value).value(), keyed[i]);
-            }
-            return Status::Ok();
-          });
-      SpliceArenas(ctx, arenas);
-      if (!status.ok()) return status;
-    } else {
-      for (size_t i = 0; i < tuples.size(); ++i) {
-        keyed[i].index = i;
-        for (const OrderSpec& spec : e.order_by) {
-          Sequence key;
-          {
-            ScopedTuple tuple(ctx, tuples[i]);
-            auto value = EvalLeaf(ctx, *spec.key);
+    // Key extraction is per-tuple independent; only the stable sort
+    // itself stays sequential (it defines the output order).
+    const Status status = RunParallel(
+        ctx, slot(), tuples.size(), [&](size_t i, Arena& arena) -> Status {
+          keyed[i].index = i;
+          Env combined = ctx.scope;
+          combined.insert(combined.end(), tuples[i].begin(), tuples[i].end());
+          for (const OrderSpec& spec : e.order_by) {
+            auto value = EvalLeafIn(ctx, combined, arena, *spec.key);
             if (!value.ok()) return value.status();
-            key = std::move(value).value();
+            AppendKey(spec, std::move(value).value(), keyed[i]);
           }
-          AppendKey(spec, std::move(key), keyed[i]);
-        }
-      }
-    }
+          return Status::Ok();
+        });
+    if (!status.ok()) return status;
     std::stable_sort(
         keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
           for (size_t k = 0; k < e.order_by.size(); ++k) {
@@ -1365,8 +1268,7 @@ std::string PredicateSuffix(const LogicalNode& n) {
 
 class PhysicalBuilder {
  public:
-  PhysicalBuilder(PhysicalPlan& plan, int parallelism)
-      : plan_(plan), parallelism_(parallelism) {}
+  explicit PhysicalBuilder(PhysicalPlan& plan) : plan_(plan) {}
 
   Result<std::unique_ptr<ItemOp>> BuildItem(const LogicalNode& n, int depth) {
     switch (n.kind) {
@@ -1390,17 +1292,15 @@ class PhysicalBuilder {
       case LogicalKind::kChildStep:
       case LogicalKind::kAxisStep: {
         const std::string label =
-            (n.kind == LogicalKind::kChildStep
-                 ? "ChildStep(" + n.name + ")" + PredicateSuffix(n)
-                 : std::string("AxisStep(") + plan::AxisLabel(n.axis) + "::" +
-                       n.name + ")" + PredicateSuffix(n)) +
-            ParallelSuffix();
+            n.kind == LogicalKind::kChildStep
+                ? "ChildStep(" + n.name + ")" + PredicateSuffix(n)
+                : std::string("AxisStep(") + plan::AxisLabel(n.axis) + "::" +
+                      n.name + ")" + PredicateSuffix(n);
         const size_t slot = AddSlot(label, depth);
         XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> input,
                                 BuildInput(n, depth));
         return {std::make_unique<AxisStepOp>(label, slot, std::move(input),
-                                             n.axis, n.name, n.predicates,
-                                             parallelism_)};
+                                             n.axis, n.name, n.predicates)};
       }
       case LogicalKind::kDescendantStep: {
         const bool guided = n.access == AccessPath::kGuidedWalk;
@@ -1410,22 +1310,20 @@ class PhysicalBuilder {
                          (n.expansions.size() == 1 ? " chain]" : " chains]")
                    : "DescendantScan(" + n.name + ")";
         label += PredicateSuffix(n);
-        label += ParallelSuffix();
         const size_t slot = AddSlot(label, depth);
         XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> input,
                                 BuildInput(n, depth));
         return {std::make_unique<DescendantStepOp>(
             label, slot, std::move(input), n.name, n.predicates, n.expansions,
-            guided, parallelism_)};
+            guided)};
       }
       case LogicalKind::kFilter: {
-        const std::string label =
-            "Filter" + PredicateSuffix(n) + ParallelSuffix();
+        const std::string label = "Filter" + PredicateSuffix(n);
         const size_t slot = AddSlot(label, depth);
         XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> input,
                                 BuildInput(n, depth));
         return {std::make_unique<FilterOp>(label, slot, std::move(input),
-                                           n.predicates, parallelism_)};
+                                           n.predicates)};
       }
       case LogicalKind::kAggregate: {
         const std::string label = "Aggregate(" + n.name + ")";
@@ -1465,7 +1363,6 @@ class PhysicalBuilder {
             break;
         }
         label += PredicateSuffix(n);
-        label += ParallelSuffix();
         const size_t slot = AddSlot(label, depth, n.estimated_rows);
         XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> fallback,
                                 BuildItem(*n.inputs[0], depth + 1));
@@ -1473,7 +1370,7 @@ class PhysicalBuilder {
                                 BuildItem(*n.inputs[1], depth + 1));
         return {std::make_unique<IndexProbeOp>(
             label, slot, std::move(fallback), std::move(roots), probe,
-            n.predicates, parallelism_)};
+            n.predicates)};
       }
       case LogicalKind::kReturn: {
         if (n.inputs.size() != 2) {
@@ -1552,12 +1449,12 @@ class PhysicalBuilder {
         if (n.inputs.size() != 1 || n.expr == nullptr) {
           return Status::Internal("where clause expects an input and an expr");
         }
-        const std::string label = "Where" + ParallelSuffix();
+        const std::string label = "Where";
         const size_t slot = AddSlot(label, depth);
         XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<TupleOp> input,
                                 BuildTuple(*n.inputs[0], depth + 1));
         return {std::make_unique<WhereOp>(label, slot, std::move(input),
-                                          n.expr, parallelism_)};
+                                          n.expr)};
       }
       case LogicalKind::kSort: {
         if (n.inputs.size() != 1 || n.order_source == nullptr) {
@@ -1565,25 +1462,16 @@ class PhysicalBuilder {
         }
         const size_t keys = n.order_source->order_by.size();
         const std::string label = "SortMaterialize(" + std::to_string(keys) +
-                                  (keys == 1 ? " key)" : " keys)") +
-                                  ParallelSuffix();
+                                  (keys == 1 ? " key)" : " keys)");
         const size_t slot = AddSlot(label, depth);
         XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<TupleOp> input,
                                 BuildTuple(*n.inputs[0], depth + 1));
         return {std::make_unique<SortOp>(label, slot, std::move(input),
-                                         n.order_source, parallelism_)};
+                                         n.order_source)};
       }
       default:
         return Status::Internal("item operator inside the tuple pipeline");
     }
-  }
-
-  /// Explain-output marker on parallel-capable operators. Empty for
-  /// scalar plans, so the golden snapshots (compiled at the default
-  /// max_intra_parallelism = 1) are unchanged.
-  std::string ParallelSuffix() const {
-    if (parallelism_ <= 1) return "";
-    return " [parallel x" + std::to_string(parallelism_) + "]";
   }
 
   size_t AddSlot(const std::string& label, int depth,
@@ -1598,7 +1486,6 @@ class PhysicalBuilder {
   }
 
   PhysicalPlan& plan_;
-  int parallelism_;
 };
 
 }  // namespace
@@ -1652,8 +1539,7 @@ Result<PhysicalPlan> BuildPhysicalPlan(const plan::LogicalPlan& logical) {
     return Status::Internal("logical plan has no root");
   }
   PhysicalPlan physical;
-  physical.max_parallelism = std::max(logical.max_intra_parallelism, 1);
-  PhysicalBuilder builder(physical, physical.max_parallelism);
+  PhysicalBuilder builder(physical);
   XBENCH_ASSIGN_OR_RETURN(physical.root, builder.BuildItem(*logical.root, 0));
   return physical;
 }
@@ -1702,7 +1588,6 @@ Result<QueryResult> Execute(const PhysicalPlan& plan, const Bindings& bindings,
     }
     stats->operators = std::move(op_stats);
     stats->total_millis = total_millis;
-    stats->max_parallelism = plan.max_parallelism;
   }
   return result;
 }

@@ -35,7 +35,8 @@ struct OperatorStats {
   uint64_t invocations = 0;
   double millis = 0;
   double self_millis = 0;
-  /// Morsels this operator's parallel regions executed (0 = scalar).
+  /// Morsels this operator's wide regions executed on the worker pool
+  /// (0 = every region was small enough to run inline).
   uint64_t morsels = 0;
   /// Cost-model row estimate frozen into the plan for this operator
   /// (index probes only); -1 = no estimate. Reported next to the
@@ -50,9 +51,6 @@ struct ExecStats {
   /// parallel regions included; the per-operator self times sum to the
   /// root operator's inclusive share of it.
   double total_millis = 0;
-  /// Intra-query parallelism bound the plan was compiled with (1 =
-  /// scalar; mirrors CompilationOptions::parallelism.max_intra).
-  int max_parallelism = 1;
 };
 
 class ItemOp;
@@ -68,10 +66,6 @@ struct PhysicalPlan {
   PhysicalPlan& operator=(PhysicalPlan&&) noexcept;
 
   std::unique_ptr<ItemOp> root;
-  /// Intra-query parallelism bound compiled into the plan's operators
-  /// (from LogicalPlan::max_intra_parallelism). Parallel-capable
-  /// operators carry a " [parallel xN]" label suffix when > 1.
-  int max_parallelism = 1;
   /// Stats slot index -> operator label, plan pre-order.
   std::vector<std::string> labels;
   /// Stats slot index -> tree depth (parallel to `labels`); pre-order plus

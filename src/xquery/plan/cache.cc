@@ -20,9 +20,6 @@ Result<std::shared_ptr<const CompiledQuery>> Compile(
   compiled->guided =
       mode == AccessPathMode::kForceGuided ||
       (mode != AccessPathMode::kForceScan && options.access_path.allow_guided);
-  compiled->parallelism = options.parallelism.max_intra > 1
-                              ? options.parallelism.max_intra
-                              : 1;
   XBENCH_ASSIGN_OR_RETURN(
       compiled->logical,
       BuildLogicalPlan(*compiled->ast, notes, options, catalog));

@@ -33,10 +33,6 @@ struct CompiledQuery {
   /// passed the load-time validation gate; the cache key carries this flag
   /// so a gate flip compiles a fresh plan instead of reusing a stale one.
   bool guided = false;
-  /// Intra-query parallelism bound compiled into the physical operators
-  /// (mirrors CompilationOptions::parallelism; part of the cache key, so
-  /// scalar and parallel compilations coexist).
-  int parallelism = 1;
   /// When the whole plan is driven by exactly one index probe over the
   /// workload's `$input`, this points at that probe node (inside
   /// `logical`, so it lives as long as the compiled query). Engines use it
@@ -55,8 +51,7 @@ Result<std::shared_ptr<const CompiledQuery>> Compile(
     const CompilationOptions& options, const IndexCatalog* catalog = nullptr);
 
 /// Cache key: (query id, database class, engine kind, guided flag,
-/// parallelism bound, access-path mode + forced index, index-catalog
-/// epoch). The ints mirror workload::QueryId / workload::DbClass /
+/// access-path mode + forced index, index-catalog epoch). The ints mirror workload::QueryId / workload::DbClass /
 /// engines::EngineKind / plan::AccessPathMode without depending on those
 /// headers. The epoch ties a plan to the catalog snapshot it was costed
 /// against: index DDL or a document mutation bumps the engine's epoch, so
@@ -66,17 +61,16 @@ struct PlanCacheKey {
   int db_class = 0;
   int engine = 0;
   bool guided = false;
-  int parallelism = 1;
   int access_mode = 0;
   std::string forced_index;
   uint64_t index_epoch = 0;
 
   bool operator<(const PlanCacheKey& other) const {
-    return std::tie(query_id, db_class, engine, guided, parallelism,
-                    access_mode, forced_index, index_epoch) <
+    return std::tie(query_id, db_class, engine, guided, access_mode,
+                    forced_index, index_epoch) <
            std::tie(other.query_id, other.db_class, other.engine,
-                    other.guided, other.parallelism, other.access_mode,
-                    other.forced_index, other.index_epoch);
+                    other.guided, other.access_mode, other.forced_index,
+                    other.index_epoch);
   }
 };
 

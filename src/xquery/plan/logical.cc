@@ -1190,7 +1190,6 @@ Result<LogicalPlan> BuildLogicalPlan(const Expr& query,
       (mode != AccessPathMode::kForceScan && options.access_path.allow_guided);
   Builder builder(notes, options, guided_allowed);
   LogicalPlan plan;
-  plan.max_intra_parallelism = std::max(options.parallelism.max_intra, 1);
   plan.root = builder.BuildItem(query);
   if (plan.root == nullptr) {
     return Status::Internal("logical planning produced no root");

@@ -147,11 +147,6 @@ struct LogicalNode {
 struct LogicalPlan {
   LogicalNodePtr root;
 
-  /// Upper bound on intra-query parallelism the physical lowering may
-  /// compile into parallelizable operators (copied from
-  /// CompilationOptions::parallelism; 1 = scalar execution, the default).
-  int max_intra_parallelism = 1;
-
   /// One-line access-path decision summary for reports and explain
   /// output: comma-joined probe choices ("IndexScan(item_id)"), or
   /// "guided-walk"/"full-scan" when no probe was chosen.
@@ -211,27 +206,13 @@ struct CostModelOptions {
   double index_advantage_margin = 0.9;
 };
 
-/// Intra-query parallelism half of the compilation options.
-struct ParallelismOptions {
-  /// Morsel-driven intra-query parallelism bound: descendant/axis steps,
-  /// predicate filtering (including index-probe residual predicates),
-  /// where clauses and sort-key extraction split their input into morsels
-  /// executed on the shared worker pool (common/worker_pool.h), merging
-  /// results in a fixed order so answers stay byte-identical to scalar
-  /// execution. 1 (the default) compiles fully scalar plans; the plan
-  /// cache keys on this value.
-  int max_intra = 1;
-};
-
 /// Everything the compile-then-execute pipeline needs to lower one query:
-/// the access-path policy, the cost model it consults under kAuto, and
-/// the parallelism bound. The plan cache keys on (mode, forced index,
-/// guidance, parallelism) plus the catalog epoch the plan was costed
-/// against.
+/// the access-path policy and the cost model it consults under kAuto. The
+/// plan cache keys on (mode, forced index, guidance) plus the catalog
+/// epoch the plan was costed against.
 struct CompilationOptions {
   AccessPathPolicy access_path;
   CostModelOptions cost_model;
-  ParallelismOptions parallelism;
   /// Run the static plan verifier (xquery/verify) on every compiled
   /// plan, failing compilation on any contract violation. Defaults on in
   /// debug and sanitizer builds; release builds leave it off so the hot

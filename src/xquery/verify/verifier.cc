@@ -13,26 +13,6 @@ namespace {
 using plan::LogicalKind;
 using plan::LogicalNode;
 
-/// Operators whose morsel-parallel form ends in an in-order splice (or
-/// candidate-order keep), so a " [parallel xN]" marker on them is sound.
-/// Mirrors the ParallelSuffix() sites in exec.cc's PhysicalBuilder.
-bool ParallelCapable(LogicalKind kind) {
-  switch (kind) {
-    case LogicalKind::kChildStep:
-    case LogicalKind::kAxisStep:
-    case LogicalKind::kDescendantStep:
-    case LogicalKind::kFilter:
-    case LogicalKind::kIndexScan:
-    case LogicalKind::kIndexRangeScan:
-    case LogicalKind::kTextProbe:
-    case LogicalKind::kWhere:
-    case LogicalKind::kSort:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool IsProbe(LogicalKind kind) {
   return kind == LogicalKind::kIndexScan ||
          kind == LogicalKind::kIndexRangeScan ||
@@ -103,11 +83,7 @@ std::string FormatEstimate(double rows) {
 
 /// Recomputes the label PhysicalBuilder freezes for `n` — the mirror
 /// check compares this against the physical plan's stored label.
-std::string ExpectedLabel(const LogicalNode& n, int parallelism) {
-  const std::string parallel =
-      parallelism > 1 && ParallelCapable(n.kind)
-          ? " [parallel x" + std::to_string(parallelism) + "]"
-          : "";
+std::string ExpectedLabel(const LogicalNode& n) {
   switch (n.kind) {
     case LogicalKind::kScan:
       return "Scan($" + n.name + ")";
@@ -116,10 +92,10 @@ std::string ExpectedLabel(const LogicalNode& n, int parallelism) {
     case LogicalKind::kConstruct:
       return "Construct(<" + n.name + ">)";
     case LogicalKind::kChildStep:
-      return "ChildStep(" + n.name + ")" + PredicateSuffix(n) + parallel;
+      return "ChildStep(" + n.name + ")" + PredicateSuffix(n);
     case LogicalKind::kAxisStep:
       return std::string("AxisStep(") + plan::AxisLabel(n.axis) + "::" +
-             n.name + ")" + PredicateSuffix(n) + parallel;
+             n.name + ")" + PredicateSuffix(n);
     case LogicalKind::kDescendantStep: {
       std::string label =
           n.access == plan::AccessPath::kGuidedWalk
@@ -127,10 +103,10 @@ std::string ExpectedLabel(const LogicalNode& n, int parallelism) {
                     std::to_string(n.expansions.size()) +
                     (n.expansions.size() == 1 ? " chain]" : " chains]")
               : "DescendantScan(" + n.name + ")";
-      return label + PredicateSuffix(n) + parallel;
+      return label + PredicateSuffix(n);
     }
     case LogicalKind::kFilter:
-      return "Filter" + PredicateSuffix(n) + parallel;
+      return "Filter" + PredicateSuffix(n);
     case LogicalKind::kAggregate:
       return "Aggregate(" + n.name + ")";
     case LogicalKind::kEmpty:
@@ -150,7 +126,7 @@ std::string ExpectedLabel(const LogicalNode& n, int parallelism) {
         label = "TextIndexProbe(" + probe.index + " ~ \"" + probe.word +
                 "\")";
       }
-      return label + PredicateSuffix(n) + parallel;
+      return label + PredicateSuffix(n);
     }
     case LogicalKind::kReturn:
       return "Return";
@@ -166,12 +142,12 @@ std::string ExpectedLabel(const LogicalNode& n, int parallelism) {
     case LogicalKind::kLet:
       return "Let($" + n.name + ")";
     case LogicalKind::kWhere:
-      return "Where" + parallel;
+      return "Where";
     case LogicalKind::kSort: {
       const size_t keys =
           n.order_source != nullptr ? n.order_source->order_by.size() : 0;
       return "SortMaterialize(" + std::to_string(keys) +
-             (keys == 1 ? " key)" : " keys)") + parallel;
+             (keys == 1 ? " key)" : " keys)");
     }
   }
   return "?";
@@ -188,8 +164,7 @@ class Verifier {
         result_(result) {}
 
   Properties Visit(const LogicalNode& n, int depth, const std::string& path) {
-    const std::string expected_label =
-        ExpectedLabel(n, physical_.max_parallelism);
+    const std::string expected_label = ExpectedLabel(n);
     const std::string here =
         path.empty() ? expected_label : path + " / " + expected_label;
     const size_t slot = next_slot_++;
@@ -225,27 +200,6 @@ class Verifier {
       }
     }
 
-    // Parallel-region safety: a marker is only sound on an operator
-    // whose parallel form ends in the in-order morsel splice, and must
-    // agree with the plan's compiled parallelism bound.
-    Ordering ordering = Ordering::kOrdered;
-    const size_t marker = actual_label.find(" [parallel x");
-    if (marker != std::string::npos) {
-      const std::string expected_marker =
-          " [parallel x" + std::to_string(physical_.max_parallelism) + "]";
-      if (!ParallelCapable(n.kind)) {
-        Report(DiagnosticKind::kParallelUnsafe, slot, here, actual_label,
-               "order-insensitive operator or in-order morsel splice",
-               "parallel region on a non-spliced operator");
-        ordering = Ordering::kOrderedPerMorsel;
-      } else if (physical_.max_parallelism <= 1 ||
-                 actual_label.find(expected_marker) == std::string::npos) {
-        Report(DiagnosticKind::kParallelUnsafe, slot, here, actual_label,
-               "parallelism x" + std::to_string(physical_.max_parallelism),
-               actual_label.substr(marker + 2));
-      }
-    }
-
     // Arity.
     const size_t arity = ExpectedArity(n.kind);
     if (n.inputs.size() != arity) {
@@ -265,23 +219,11 @@ class Verifier {
       children.push_back(Visit(*input, depth + 1, here));
     }
 
-    // Required child properties: every operator in this algebra iterates
-    // its inputs in document/binding order (positional predicates, tuple
-    // enumeration, stable sorts), so each input must derive kOrdered.
-    for (size_t i = 0; i < children.size(); ++i) {
-      if (children[i].ordering != Ordering::kOrdered) {
-        Report(DiagnosticKind::kUnorderedInput, slot, here, actual_label,
-               "ordered input " + std::to_string(i),
-               std::string(OrderingName(children[i].ordering)) + " input " +
-                   std::to_string(i));
-      }
-    }
-
     if (IsProbe(n.kind)) {
       // The probe validates index candidates against its root source;
       // a duplicated root would double-count candidates.
       if (children.size() == 2 && !children[1].unique) {
-        Report(DiagnosticKind::kUnorderedInput, slot, here, actual_label,
+        Report(DiagnosticKind::kNonUniqueRoots, slot, here, actual_label,
                "unique root-source bindings",
                "non-unique root-source bindings");
       }
@@ -336,26 +278,10 @@ class Verifier {
     props.unique = ProvidesUnique(n.kind) ||
                    (n.kind == LogicalKind::kFilter && !children.empty() &&
                     children[0].unique);
-    props.ordering = ordering;
-    if (ordering == Ordering::kOrdered) {
-      // Propagating operators surface their inputs' degradation; sorts,
-      // steps and probes restore document order at their merge.
-      for (const Properties& child : children) {
-        if (child.ordering > props.ordering &&
-            n.kind != LogicalKind::kSort && !IsProbe(n.kind) &&
-            n.kind != LogicalKind::kChildStep &&
-            n.kind != LogicalKind::kAxisStep &&
-            n.kind != LogicalKind::kDescendantStep) {
-          props.ordering = child.ordering;
-        }
-      }
-    }
 
     std::string rendered(static_cast<size_t>(depth) * 2, ' ');
     rendered += actual_label;
-    rendered += " :: ordering=";
-    rendered += OrderingName(props.ordering);
-    rendered += props.unique ? " unique=yes" : " unique=no";
+    rendered += props.unique ? " :: unique=yes" : " :: unique=no";
     rendered += " card=";
     rendered += plan::CardName(props.card);
     if (IsProbe(n.kind) && n.probe.has_value()) {
@@ -391,32 +317,18 @@ class Verifier {
 
 }  // namespace
 
-const char* OrderingName(Ordering ordering) {
-  switch (ordering) {
-    case Ordering::kOrdered:
-      return "ordered";
-    case Ordering::kOrderedPerMorsel:
-      return "ordered-per-morsel";
-    case Ordering::kUnordered:
-      return "unordered";
-  }
-  return "?";
-}
-
 const char* DiagnosticKindName(DiagnosticKind kind) {
   switch (kind) {
     case DiagnosticKind::kArityMismatch:
       return "arity-mismatch";
-    case DiagnosticKind::kUnorderedInput:
-      return "unordered-input";
+    case DiagnosticKind::kNonUniqueRoots:
+      return "non-unique-roots";
     case DiagnosticKind::kCardinalityBound:
       return "cardinality-bound";
     case DiagnosticKind::kEpochMismatch:
       return "epoch-mismatch";
     case DiagnosticKind::kMissingResidualPredicate:
       return "missing-residual-predicate";
-    case DiagnosticKind::kParallelUnsafe:
-      return "parallel-unsafe";
     case DiagnosticKind::kLabelMismatch:
       return "label-mismatch";
   }

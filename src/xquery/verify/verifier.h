@@ -10,21 +10,8 @@
 
 namespace xbench::xquery::verify {
 
-/// Document-order property of an operator's output, the lattice the
-/// verifier propagates bottom-up (kOrdered ⊑ kOrderedPerMorsel ⊑
-/// kUnordered; merges take the weaker side). kOrderedPerMorsel is the
-/// state inside a parallel region before the in-order morsel splice;
-/// every well-formed operator either restores kOrdered at its merge or
-/// never degrades in the first place, so a surviving kOrderedPerMorsel /
-/// kUnordered in a frozen plan is evidence of a corrupt or unsound
-/// compilation.
-enum class Ordering { kOrdered, kOrderedPerMorsel, kUnordered };
-
-const char* OrderingName(Ordering ordering);
-
 /// Derived properties of one operator's output.
 struct Properties {
-  Ordering ordering = Ordering::kOrdered;
   /// No node appears twice in the output (steps and probes dedupe via
   /// the document-order-unique sort; Eval/Return sequences may repeat).
   bool unique = false;
@@ -37,9 +24,9 @@ struct Properties {
 enum class DiagnosticKind {
   /// Operator has the wrong number of inputs for its kind.
   kArityMismatch,
-  /// An order-requiring operator consumes an input whose derived
-  /// ordering is weaker than kOrdered.
-  kUnorderedInput,
+  /// An index probe's root source may bind the same node twice, which
+  /// would double-count its candidates.
+  kNonUniqueRoots,
   /// estimated_rows contradicts the analysis cardinality bound (only
   /// checked when the plan was compiled with trust_statistics).
   kCardinalityBound,
@@ -49,10 +36,6 @@ enum class DiagnosticKind {
   /// An index probe dropped a residual predicate of the subtree it
   /// replaced (probe ∧ residual would no longer imply the original).
   kMissingResidualPredicate,
-  /// A parallel-region marker sits on an operator that is neither
-  /// order-insensitive nor followed by the in-order morsel splice, or
-  /// disagrees with the plan's compiled parallelism bound.
-  kParallelUnsafe,
   /// The frozen physical operator (label / depth / estimate slot) does
   /// not mirror its logical node.
   kLabelMismatch,
@@ -80,18 +63,17 @@ struct Diagnostic {
 struct VerifyResult {
   std::vector<Diagnostic> diagnostics;
   /// One line per operator in plan pre-order: depth-indented label plus
-  /// the derived property triple. Pinned as the xqlint --verify golden.
+  /// the derived properties. Pinned as the xqlint --verify golden.
   std::vector<std::string> derived;
 
   bool ok() const { return diagnostics.empty(); }
 };
 
 /// Statically verifies a frozen physical plan against its logical plan:
-/// per-kind operator contracts (arity, required child properties,
-/// provided properties), the ordering/uniqueness/cardinality lattice,
-/// index-epoch validity and residual-predicate coverage of every probe
-/// (against `catalog`, skipped when null), parallel-region safety, and
-/// the 1:1 logical↔physical mirror. Counts xbench.verify.plans per call
+/// per-kind operator contracts (arity, unique probe roots, provided
+/// uniqueness and cardinality), index-epoch validity and residual-predicate
+/// coverage of every probe (against `catalog`, skipped when null), and the
+/// 1:1 logical↔physical mirror. Counts xbench.verify.plans per call
 /// and xbench.verify.violations per diagnostic. Never mutates the plan.
 VerifyResult VerifyPlan(const plan::LogicalPlan& logical,
                         const exec::PhysicalPlan& physical,

@@ -120,10 +120,10 @@ TEST_F(VerifyFixture, WellFormedProbePlanVerifiesClean) {
       << built.logical.ToString();
   VerifyResult result = Verify(built);
   EXPECT_TRUE(result.ok()) << result.diagnostics.front().ToString();
-  // One derived-property line per frozen operator, all document-ordered.
+  // One derived-property line per frozen operator.
   EXPECT_EQ(result.derived.size(), built.physical.labels.size());
   for (const std::string& line : result.derived) {
-    EXPECT_NE(line.find("ordering=ordered"), std::string::npos) << line;
+    EXPECT_NE(line.find(" :: unique="), std::string::npos) << line;
   }
   EXPECT_GT(obs::MetricsRegistry::Default()
                 .GetCounter(obs::metric_names::kVerifyPlans)
@@ -163,25 +163,17 @@ TEST_F(VerifyFixture, DroppedResidualPredicateIsRejected) {
   EXPECT_TRUE(HasKind(result, DiagnosticKind::kMissingResidualPredicate));
 }
 
-TEST_F(VerifyFixture, UnorderedChildUnderOrderRequiringParentIsRejected) {
+TEST_F(VerifyFixture, NonUniqueProbeRootsAreRejected) {
   BuiltPlan built = BuildProbePlan();
-  // Mark a non-splice-capable child operator as a parallel region: its
-  // output derives ordered-per-morsel (no in-order splice exists for
-  // it), which every order-requiring parent must reject.
-  ASSERT_GT(built.physical.labels.size(), 1u);
-  bool corrupted = false;
-  for (size_t i = 1; i < built.physical.labels.size(); ++i) {
-    if (built.physical.labels[i].rfind("Scan($", 0) == 0) {
-      built.physical.labels[i] += " [parallel x4]";
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted);
+  xquery::plan::LogicalNode* probe = FindProbe(built.logical.root.get());
+  ASSERT_NE(probe, nullptr);
+  ASSERT_EQ(probe->inputs.size(), 2u);
+  // An interpreter-core leaf may bind the same node twice; a probe fed
+  // such a root source would double-count its candidates.
+  probe->inputs[1]->kind = xquery::plan::LogicalKind::kEval;
   VerifyResult result = Verify(built);
   EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(HasKind(result, DiagnosticKind::kParallelUnsafe));
-  EXPECT_TRUE(HasKind(result, DiagnosticKind::kUnorderedInput));
+  EXPECT_TRUE(HasKind(result, DiagnosticKind::kNonUniqueRoots));
 }
 
 TEST_F(VerifyFixture, EstimateOutsideAnalysisBoundsIsRejected) {

@@ -273,18 +273,11 @@ TEST(ExecTest, SortRowsMultiKey) {
   RowSet rows{{Value::String("b"), Value::Int(1)},
               {Value::String("a"), Value::Int(2)},
               {Value::String("a"), Value::Int(1)}};
-  SortRows(rows, {{0, true, false}, {1, false, false}});
+  SortRows(rows, {{0, true}, {1, false}});
   EXPECT_EQ(rows[0][0].AsString(), "a");
   EXPECT_EQ(rows[0][1].AsInt(), 2);
   EXPECT_EQ(rows[1][1].AsInt(), 1);
   EXPECT_EQ(rows[2][0].AsString(), "b");
-}
-
-TEST(ExecTest, SortRowsNumericStrings) {
-  RowSet rows{{Value::String("10")}, {Value::String("9")}, {Value::String("100")}};
-  SortRows(rows, {{0, true, true}});
-  EXPECT_EQ(rows[0][0].AsString(), "9");
-  EXPECT_EQ(rows[2][0].AsString(), "100");
 }
 
 TEST(ExecTest, HashJoinMatchesAndSkipsNulls) {

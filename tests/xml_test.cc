@@ -310,14 +310,18 @@ TEST(ParserHardeningTest, AcceptsDepthUnderTheLimit) {
 }
 
 TEST(ParserHardeningTest, RejectsMalformedCharacterReferences) {
-  // Empty, junk-suffixed, overflowing, non-BMP, digitless-hex, and NUL
-  // references must all be Status errors, never UB or silent truncation.
+  // Empty, junk-suffixed, overflowing, non-BMP, digitless-hex, NUL and
+  // other non-Char (C0 control, surrogate, U+FFFE) references must all be
+  // Status errors, never UB, silent truncation or invalid UTF-8.
   EXPECT_FALSE(Parse("<a>&#;</a>", "t.xml").ok());
   EXPECT_FALSE(Parse("<a>&#12junk;</a>", "t.xml").ok());
   EXPECT_FALSE(Parse("<a>&#99999999999999999999;</a>", "t.xml").ok());
   EXPECT_FALSE(Parse("<a>&#x1F600;</a>", "t.xml").ok());
   EXPECT_FALSE(Parse("<a>&#x;</a>", "t.xml").ok());
   EXPECT_FALSE(Parse("<a>&#0;</a>", "t.xml").ok());
+  EXPECT_FALSE(Parse("<a>&#1;</a>", "t.xml").ok());
+  EXPECT_FALSE(Parse("<a>&#xD800;</a>", "t.xml").ok());
+  EXPECT_FALSE(Parse("<a>&#xFFFE;</a>", "t.xml").ok());
 }
 
 TEST(ParserHardeningTest, CheckWellFormedAgreesWithParseOnHardInputs) {

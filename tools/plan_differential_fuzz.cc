@@ -4,15 +4,14 @@
 // every answer path the native engine has — the tree-walking interpreter,
 // the compiled full-scan plan, the schema-guided plan, and the cost-based
 // (kAuto) plan compiled against the engine's live index catalog — and
-// requires byte-identical QueryResult::ToText() from all of them. Each
-// query's compiled plans additionally draw a random intra-query
-// parallelism bound (1, 2, or 4 — deterministic in --seed), so the
-// morsel-parallel execution paths are fuzzed against the scalar
-// interpreter too. Index availability itself is randomized: the engine
-// cycles through three index configurations (none / Table 3 value
-// indexes / Table 3 + text index) during the run, so cost-based plans are
-// fuzzed both with probes available and without. The
-// same queries are cross-checked against the CLOB engine per document
+// requires byte-identical QueryResult::ToText() from all of them. Plans
+// whose inputs are large enough run their regions on the worker pool, so
+// the morsel-parallel execution paths are fuzzed against the interpreter
+// too (the summary counts the plan runs that went wide). Index
+// availability itself is randomized: the engine cycles through three
+// index configurations (none / Table 3 value indexes / Table 3 + text
+// index) during the run, so cost-based plans are fuzzed both with probes
+// available and without. The same queries are cross-checked against the CLOB engine per document
 // (MD classes, decomposable queries) as value multisets, and the shredded
 // relational image is validated column-by-column against the source
 // documents via the DAD's own extraction semantics.
@@ -271,7 +270,7 @@ int main(int argc, char** argv) {
   xbench::analysis::QueryGenerator gen(schema, seed);
   uint64_t clob_compared = 0;
   uint64_t error_queries = 0;
-  uint64_t parallel_plans = 0;
+  uint64_t wide_plans = 0;
   uint64_t probe_plans = 0;
 
   // Index-availability sweep: cycle the engine through three index
@@ -307,21 +306,6 @@ int main(int argc, char** argv) {
       }
     }
   };
-  // Deterministic per-query draw for the intra-query parallelism bound:
-  // plans execute through the same morsel machinery the benchmarks use,
-  // and must stay byte-identical to the scalar interpreter regardless of
-  // the bound. splitmix64 keeps the stream independent of the query
-  // generator's own PRNG state.
-  uint64_t parallelism_state = seed ^ 0x9e3779b97f4a7c15ull;
-  auto next_parallelism = [&parallelism_state] {
-    parallelism_state += 0x9e3779b97f4a7c15ull;
-    uint64_t z = parallelism_state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    static constexpr int kBounds[] = {1, 2, 4};
-    return kBounds[z % 3];
-  };
   struct ModeOption {
     const char* label;
     xbench::xquery::plan::AccessPathMode mode;
@@ -339,8 +323,6 @@ int main(int argc, char** argv) {
     apply_index_state(static_cast<int>((i / kIndexPhaseIters + seed) % 3));
     const auto generated = gen.Next();
     const std::string& text = generated.text;
-    const int parallelism = next_parallelism();
-    if (parallelism > 1) ++parallel_plans;
 
     // Annotations are keyed by AST node identity and Compile consumes the
     // AST, so each execution path analyzes its own copy.
@@ -357,7 +339,6 @@ int main(int argc, char** argv) {
       xbench::xquery::plan::CompilationOptions options;
       options.access_path.mode = mode.mode;
       options.access_path.allow_guided = guided;
-      options.parallelism.max_intra = parallelism;
       // Every fuzz-generated plan also runs the static verifier, so the
       // oracle rejects contract violations even when the answers agree.
       options.verify = true;
@@ -382,6 +363,12 @@ int main(int argc, char** argv) {
                        " plan status",
              interp.ok() ? "ok" : interp.status().ToString(),
              plan_result.ok() ? "ok" : plan_result.status().ToString());
+      }
+      for (const auto& op : native->last_plan_stats().operators) {
+        if (op.morsels > 0) {
+          ++wide_plans;
+          break;
+        }
       }
       if (interp.ok()) {
         const std::string lhs = interp->ToText();
@@ -433,14 +420,14 @@ int main(int argc, char** argv) {
 
   std::printf(
       "  %llu queries: interpreter == %s plan%s, %llu runtime errors "
-      "(status-matched), %llu clob-compared, %llu morsel-parallel plans, "
+      "(status-matched), %llu clob-compared, %llu wide plan runs, "
       "%llu index-probe plans\n",
       static_cast<unsigned long long>(iters),
       guided ? "unguided == guided == auto" : "unguided == auto",
       guided ? "" : " (guided gate closed)",
       static_cast<unsigned long long>(error_queries),
       static_cast<unsigned long long>(clob_compared),
-      static_cast<unsigned long long>(parallel_plans),
+      static_cast<unsigned long long>(wide_plans),
       static_cast<unsigned long long>(probe_plans));
   return 0;
 }

@@ -43,15 +43,22 @@ if [ "$SAN" = "thread" ]; then
         json_check
   "$BUILD/tests/concurrency_tests"
   "$BUILD/tests/lock_rank_tests"
-  # --intra crosses the MPL sweep with morsel-driven intra-query
-  # parallelism: concurrent sessions race each other AND the shared
-  # worker pool's lanes, which is exactly the interleaving TSAN is here
-  # to check.
+  # At the default TC/SD small scale the mix's descendant steps and
+  # where clauses are large enough to go wide, so concurrent sessions
+  # race each other AND the shared worker pool's lanes, which is exactly
+  # the interleaving TSAN is here to check. The step fails if no region
+  # reached the pool.
   XBENCH_TRACE_OUT="$BUILD/tsan_throughput_trace.json" \
-    "$BUILD/bench/bench_throughput" --mpl 1,4,8 --intra 1,4 --ops 4 \
+    XBENCH_REPORT="$BUILD/tsan_throughput_report.json" \
+    "$BUILD/bench/bench_throughput" --mpl 1,4,8 --ops 4 \
     --slo-p99-millis 600000
   "$BUILD/tools/json_check" --schema trace \
     "$BUILD/tsan_throughput_trace.json"
+  if ! grep -Eq '"xbench\.exec\.parallel_regions":[1-9]' \
+      "$BUILD/tsan_throughput_report.json"; then
+    echo "sanitize smoke ($SAN): no parallel region ran on the pool" >&2
+    exit 1
+  fi
   echo "sanitize smoke ($SAN): OK"
   exit 0
 fi

@@ -15,7 +15,8 @@
 #      emitted report (profile consistency) and trace.
 #   4. The ThreadSanitizer smoke suite with runtime lock-rank enforcement
 #      on (tools/sanitize_smoke.sh, XBENCH_SANITIZE=thread), which also
-#      traces its throughput sweep and schema-checks the trace.
+#      traces its throughput sweep, schema-checks the trace and fails
+#      unless some parallel region ran on the worker pool.
 #   5. An ASan+UBSan (-fno-sanitize-recover=all) build of the fuzz
 #      harnesses + differential oracle: the checked-in corpus and every
 #      regression input replay through all four harnesses, a seeded
@@ -24,9 +25,9 @@
 #      cycling index availability (none / Table 3 / Table 3 + text) so
 #      index-probing plans are differentially checked sanitized.
 #   6. The plan-verifier sweep (xqlint --verify): every canned query of
-#      every class compiled under all four access-path modes x
-#      parallelism {1,2,4} with CompilationOptions.verify on, checked
-#      against the pinned property-lattice golden.
+#      every class compiled under all four access-path modes with
+#      CompilationOptions.verify on, checked against the pinned
+#      derived-property golden.
 #   7. The repo-convention linter (tools/xbench_lint): raw std::mutex
 #      use, DESIGN.md §9 <-> LockRank table drift, unregistered
 #      xbench.* metric names, stale [[deprecated]] shims.

@@ -30,22 +30,16 @@
 //
 // With --verify, every selected query is compiled under all four access-
 // path modes (Auto, ForceGuided, ForceScan, ForceIndex — the first and
-// last cost-based against the class's Table 3 + text index catalog) at
-// parallelism bounds 1, 2 and 4, each compile running the static plan
-// verifier (xquery/verify, DESIGN.md §14). Any contract violation fails
-// the run and prints the structured diagnostics; the per-operator
-// property lattice derived for the (Auto, x1) plan is printed and diffed
-// against tools/golden/xqlint_verify.txt by the plan_verify_all test.
+// last cost-based against the class's Table 3 + text index catalog),
+// each compile running the static plan verifier (xquery/verify,
+// DESIGN.md §14). Any contract violation fails the run and prints the
+// structured diagnostics; the per-operator properties derived for the
+// Auto plan are printed and diffed against tools/golden/xqlint_verify.txt
+// by the plan_verify_all test.
 //
 // Usage:
 //   xqlint [--class TC/SD|TC/MD|DC/SD|DC/MD|all] [--query Q1..Q20|all]
-//          [--verbose] [--explain] [--profile] [--indexes]
-//          [--parallelism N] [--verify]
-//
-// --parallelism N (requires --explain) compiles with
-// CompilationOptions::parallelism.max_intra = N; parallel-eligible
-// physical operators render with a " [parallel xN]" suffix. The default
-// of 1 keeps the rendering identical to the golden snapshot.
+//          [--verbose] [--explain] [--profile] [--indexes] [--verify]
 //
 // Exit status: 0 when every selected query parses and has no error
 // diagnostics (and, under --explain, compiles and — with --profile —
@@ -211,7 +205,7 @@ bool ProfileOne(QueryId id, const xbench::xquery::plan::CompiledQuery& compiled,
 /// and the access-path decision is printed. With `sample_db` non-null the
 /// plan is also executed over it and profiled.
 bool ExplainOne(DbClass cls, QueryId id, const ClassSchema& schema,
-                const QueryParams& params, int parallelism,
+                const QueryParams& params,
                 const xbench::xquery::plan::IndexCatalog* catalog,
                 const xbench::datagen::GeneratedDatabase* sample_db) {
   const std::string xquery = XQueryFor(id, cls, params);
@@ -235,7 +229,6 @@ bool ExplainOne(DbClass cls, QueryId id, const ClassSchema& schema,
       catalog != nullptr ? xbench::xquery::plan::AccessPathMode::kAuto
                          : xbench::xquery::plan::AccessPathMode::kForceGuided;
   options.cost_model.trust_statistics = true;
-  options.parallelism.max_intra = parallelism;
   auto compiled = xbench::xquery::plan::Compile(
       std::move(*parsed), &report.annotations, options, catalog);
   if (!compiled.ok()) {
@@ -259,10 +252,9 @@ bool ExplainOne(DbClass cls, QueryId id, const ClassSchema& schema,
 }
 
 /// Verifies one (class, query) cell: compiles under every access-path
-/// mode × parallelism {1, 2, 4} with the static plan verifier on, then
-/// prints the derived property lattice of the cost-based scalar plan
-/// (xqlint --verify). Returns false when any combination fails to
-/// compile or verify.
+/// mode with the static plan verifier on, then prints the derived
+/// properties of the cost-based plan (xqlint --verify). Returns false
+/// when any mode fails to compile or verify.
 bool VerifyOne(DbClass cls, QueryId id, const ClassSchema& schema,
                const QueryParams& params,
                const xbench::xquery::plan::IndexCatalog* catalog) {
@@ -281,52 +273,47 @@ bool VerifyOne(DbClass cls, QueryId id, const ClassSchema& schema,
   };
   bool ok = true;
   for (const Mode& mode : modes) {
-    for (int parallelism : {1, 2, 4}) {
-      auto parsed = xbench::xquery::ParseQuery(xquery);
-      if (!parsed.ok()) {
-        std::printf("   PARSE ERROR: %s\n",
-                    parsed.status().ToString().c_str());
-        return false;
+    auto parsed = xbench::xquery::ParseQuery(xquery);
+    if (!parsed.ok()) {
+      std::printf("   PARSE ERROR: %s\n", parsed.status().ToString().c_str());
+      return false;
+    }
+    AnalysisReport report = Analyze(**parsed, schema.Context());
+    if (report.HasErrors()) {
+      std::printf("   ANALYSIS FAIL\n%s", report.ToString().c_str());
+      return false;
+    }
+    xbench::xquery::plan::CompilationOptions options;
+    options.access_path.mode = mode.mode;
+    options.cost_model.trust_statistics = true;
+    options.verify = true;
+    auto compiled = xbench::xquery::plan::Compile(
+        std::move(*parsed), &report.annotations, options, catalog);
+    if (!compiled.ok()) {
+      std::printf("   verify %s: FAIL: %s\n", mode.label,
+                  compiled.status().ToString().c_str());
+      ok = false;
+      continue;
+    }
+    xbench::xquery::verify::VerifyResult verified =
+        xbench::xquery::verify::VerifyPlan((*compiled)->logical,
+                                           (*compiled)->physical, options,
+                                           catalog);
+    if (!verified.ok()) {
+      std::printf("   verify %s: %zu violation(s)\n", mode.label,
+                  verified.diagnostics.size());
+      for (const auto& diag : verified.diagnostics) {
+        std::printf("    %s\n", diag.ToString().c_str());
       }
-      AnalysisReport report = Analyze(**parsed, schema.Context());
-      if (report.HasErrors()) {
-        std::printf("   ANALYSIS FAIL\n%s", report.ToString().c_str());
-        return false;
-      }
-      xbench::xquery::plan::CompilationOptions options;
-      options.access_path.mode = mode.mode;
-      options.cost_model.trust_statistics = true;
-      options.parallelism.max_intra = parallelism;
-      options.verify = true;
-      auto compiled = xbench::xquery::plan::Compile(
-          std::move(*parsed), &report.annotations, options, catalog);
-      if (!compiled.ok()) {
-        std::printf("   verify %-11s x%d: FAIL: %s\n", mode.label,
-                    parallelism, compiled.status().ToString().c_str());
-        ok = false;
-        continue;
-      }
-      xbench::xquery::verify::VerifyResult verified =
-          xbench::xquery::verify::VerifyPlan((*compiled)->logical,
-                                             (*compiled)->physical, options,
-                                             catalog);
-      if (!verified.ok()) {
-        std::printf("   verify %-11s x%d: %zu violation(s)\n", mode.label,
-                    parallelism, verified.diagnostics.size());
-        for (const auto& diag : verified.diagnostics) {
-          std::printf("    %s\n", diag.ToString().c_str());
-        }
-        ok = false;
-        continue;
-      }
-      std::printf("   verify %-11s x%d: ok (%zu operators)\n", mode.label,
-                  parallelism, verified.derived.size());
-      if (mode.mode == xbench::xquery::plan::AccessPathMode::kAuto &&
-          parallelism == 1) {
-        std::printf("   properties (Auto x1):\n");
-        for (const std::string& line : verified.derived) {
-          std::printf("    %s\n", line.c_str());
-        }
+      ok = false;
+      continue;
+    }
+    std::printf("   verify %s: ok (%zu operators)\n", mode.label,
+                verified.derived.size());
+    if (mode.mode == xbench::xquery::plan::AccessPathMode::kAuto) {
+      std::printf("   properties (Auto):\n");
+      for (const std::string& line : verified.derived) {
+        std::printf("    %s\n", line.c_str());
       }
     }
   }
@@ -382,7 +369,6 @@ int main(int argc, char** argv) {
   bool profile = false;
   bool indexes = false;
   bool verify = false;
-  int parallelism = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -407,17 +393,11 @@ int main(int argc, char** argv) {
       indexes = true;
     } else if (arg == "--verify") {
       verify = true;
-    } else if (arg == "--parallelism" && has_value) {
-      parallelism = std::atoi(argv[++i]);
-      if (parallelism < 1) {
-        std::fprintf(stderr, "--parallelism must be >= 1\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: xqlint [--class TC/SD|TC/MD|DC/SD|DC/MD|all] "
                    "[--query Q1..Q20|all] [--verbose] [--explain] "
-                   "[--profile] [--indexes] [--parallelism N] [--verify]\n");
+                   "[--profile] [--indexes] [--verify]\n");
       return 2;
     }
   }
@@ -427,10 +407,6 @@ int main(int argc, char** argv) {
   }
   if (indexes && !explain) {
     std::fprintf(stderr, "--indexes requires --explain\n");
-    return 2;
-  }
-  if (parallelism > 1 && !explain) {
-    std::fprintf(stderr, "--parallelism requires --explain\n");
     return 2;
   }
   if (verify && (explain || profile || indexes)) {
@@ -468,7 +444,7 @@ int main(int argc, char** argv) {
           ++failures;
         }
       } else if (explain) {
-        if (!ExplainOne(cls, id, schema, params, parallelism, catalog.get(),
+        if (!ExplainOne(cls, id, schema, params, catalog.get(),
                         profile ? &sample_db : nullptr)) {
           ++failures;
         }
