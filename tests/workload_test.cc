@@ -3,6 +3,8 @@
 #include "datagen/generator.h"
 #include "datagen/article_generator.h"
 #include "engines/native_engine.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "workload/classes.h"
 #include "workload/queries.h"
 #include "workload/runner.h"
@@ -198,6 +200,36 @@ TEST(CanonicalizeTest, SortsValueSets) {
   // Ordered shapes keep order.
   auto ordered = CanonicalizeAnswer(QueryId::kQ5, {"b", "a"});
   EXPECT_EQ(ordered[0], "b");
+}
+
+/// `xbench.xquery.nodes_visited` added by one cold native run of `id` over
+/// the fixture database (160 KiB, seed 42, no secondary indexes, so the
+/// plan walks the documents).
+uint64_t NodesVisitedFor(DbClass cls, QueryId id) {
+  datagen::GenConfig config;
+  config.target_bytes = 160 * 1024;
+  config.seed = 42;
+  const datagen::GeneratedDatabase db = datagen::Generate(cls, config);
+  auto engine = MakeEngine(engines::EngineKind::kNative);
+  EXPECT_TRUE(BulkLoad(*engine, db).status.ok());
+  const obs::Counter& visited =
+      obs::MetricsRegistry::Default().GetCounter(obs::metric_names::kXqueryNodesVisited);
+  const uint64_t before = visited.value();
+  ExecutionResult result =
+      RunQuery(*engine, id, cls, DeriveParams(cls, db.seeds));
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  return visited.value() - before;
+}
+
+/// Pins the node-visit totals of a descendant walk with predicates
+/// (DC/SD Q17), an interpreted filter over many documents followed by a
+/// guided walk (TC/MD Q8) and a guided walk split across one large
+/// document (TC/SD Q8), so batching the counter updates cannot change what
+/// the counter reports.
+TEST(NodesVisitedTest, TotalsArePinned) {
+  EXPECT_EQ(NodesVisitedFor(DbClass::kDcSd, QueryId::kQ17), 1660u);
+  EXPECT_EQ(NodesVisitedFor(DbClass::kTcMd, QueryId::kQ8), 8u);
+  EXPECT_EQ(NodesVisitedFor(DbClass::kTcSd, QueryId::kQ8), 1578u);
 }
 
 }  // namespace
