@@ -4,6 +4,8 @@
 // the paper's end-to-end numbers.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "datagen/generator.h"
 #include "engines/dad.h"
 #include "engines/shredder.h"
@@ -17,22 +19,57 @@ namespace {
 
 using namespace xbench;
 
-const datagen::GeneratedDatabase& SharedDb(datagen::DbClass cls) {
-  static auto* cache =
-      new std::map<datagen::DbClass, datagen::GeneratedDatabase>();
-  auto it = cache->find(cls);
+const datagen::GeneratedDatabase& SharedDb(datagen::DbClass cls,
+                                           uint64_t kib = 256) {
+  static auto* cache = new std::map<std::pair<datagen::DbClass, uint64_t>,
+                                    datagen::GeneratedDatabase>();
+  auto it = cache->find({cls, kib});
   if (it == cache->end()) {
     datagen::GenConfig config;
-    config.target_bytes = 256 * 1024;
+    config.target_bytes = kib * 1024;
     config.seed = 42;
-    it = cache->emplace(cls, datagen::Generate(cls, config)).first;
+    it = cache->emplace(std::make_pair(cls, kib), datagen::Generate(cls, config))
+             .first;
   }
   return it->second;
 }
 
+/// The single document of an SD class at `kib` KiB (range(0) = class,
+/// range(1) = KiB), as the parse benchmarks' input.
+const std::string& ParseInput(benchmark::State& state) {
+  return SharedDb(static_cast<datagen::DbClass>(state.range(0)),
+                  static_cast<uint64_t>(state.range(1)))
+      .documents[0]
+      .text;
+}
+
+void ParseArgs(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"class", "kib"});
+  bench->Args({static_cast<int64_t>(datagen::DbClass::kTcSd), 256});
+  bench->Args({static_cast<int64_t>(datagen::DbClass::kTcSd), 10240});
+  bench->Args({static_cast<int64_t>(datagen::DbClass::kDcSd), 10240});
+}
+
+/// Parsing alone: the document is dropped outside the timed region.
 void BM_XmlParse(benchmark::State& state) {
-  const auto& db = SharedDb(datagen::DbClass::kTcSd);
-  const std::string& text = db.documents[0].text;
+  const std::string& text = ParseInput(state);
+  std::optional<Result<xml::Document>> doc;
+  for (auto _ : state) {
+    doc.emplace(xml::Parse(text, "bench.xml"));
+    benchmark::DoNotOptimize(*doc);
+    state.PauseTiming();
+    doc.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_XmlParse)->Apply(ParseArgs)->Unit(benchmark::kMillisecond);
+
+/// Parse then drop: one cold materialization's whole DOM lifetime (what a
+/// cold restart pays per document, besides the page reads).
+void BM_XmlParseAndDrop(benchmark::State& state) {
+  const std::string& text = ParseInput(state);
   for (auto _ : state) {
     auto doc = xml::Parse(text, "bench.xml");
     benchmark::DoNotOptimize(doc);
@@ -40,7 +77,7 @@ void BM_XmlParse(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));
 }
-BENCHMARK(BM_XmlParse)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_XmlParseAndDrop)->Apply(ParseArgs)->Unit(benchmark::kMillisecond);
 
 void BM_XmlSerialize(benchmark::State& state) {
   const auto& db = SharedDb(datagen::DbClass::kTcSd);

@@ -1,11 +1,14 @@
 // Fuzz harness for the XML parser (src/xml/parser.cc).
 //
-// Property checked beyond "no crash / no sanitizer report": parsing is a
-// fixed point under serialization — any input the parser accepts must
-// serialize (compact mode) to text that reparses successfully and
-// serializes to the same bytes. A violation means the parser and the
-// serializer disagree about the document dialect, which would corrupt
-// documents through a store/reload cycle.
+// Properties checked beyond "no crash / no sanitizer report":
+// - parsing is a fixed point under serialization — any input the parser
+//   accepts must serialize (compact mode) to text that reparses
+//   successfully and serializes to the same bytes. A violation means the
+//   parser and the serializer disagree about the document dialect, which
+//   would corrupt documents through a store/reload cycle;
+// - the pre-order ids the parser assigns are dense: NodeAt(i) is the node
+//   with order i for every i in 1..NodeCount(), and the count matches the
+//   tree (index postings resolve through this table).
 
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +30,19 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     std::abort();
   }
   if (!doc.ok()) return 0;
+
+  if (doc->NodeCount() != doc->root()->SubtreeSize()) {
+    std::fprintf(stderr, "xml fuzz: NodeCount %zu but the tree has %zu nodes\n",
+                 doc->NodeCount(), doc->root()->SubtreeSize());
+    std::abort();
+  }
+  for (uint32_t order = 1; order <= doc->NodeCount(); ++order) {
+    if (doc->NodeAt(order)->order() != order) {
+      std::fprintf(stderr, "xml fuzz: NodeAt(%u) has order %u\n", order,
+                   doc->NodeAt(order)->order());
+      std::abort();
+    }
+  }
 
   const std::string once = xbench::xml::Serialize(*doc);
   auto reparsed = xbench::xml::Parse(once, "fuzz-reparse");

@@ -73,7 +73,8 @@ void AddSection(xml::Node& parent, int depth, bool force_intro, Rng& rng,
 }
 
 xml::Document GenerateArticle(int64_t index, Rng& rng, const WordPool& words) {
-  auto root = xml::Node::Element("article");
+  xml::Document doc(ArticleFileName(index));
+  xml::Node* root = doc.CreateRoot("article");
   root->SetAttribute("id", ArticleId(index));
 
   xml::Node* prolog = root->AddElement("prolog");
@@ -115,7 +116,8 @@ xml::Document GenerateArticle(int64_t index, Rng& rng, const WordPool& words) {
     }
   }
 
-  return xml::Document(ArticleFileName(index), std::move(root));
+  doc.AssignOrder();
+  return doc;
 }
 
 }  // namespace

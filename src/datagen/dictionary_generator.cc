@@ -107,18 +107,17 @@ DictionaryResult GenerateDictionary(uint64_t target_bytes, uint64_t seed,
   GenContext ctx(rng, words);
   auto entry_template = BuildEntryTemplate(words);
 
-  auto root = xml::Node::Element("dictionary");
+  DictionaryResult result;
+  result.doc = xml::Document("dictionary.xml");
+  xml::Node* root = result.doc.CreateRoot("dictionary");
   uint64_t bytes = 2 * (sizeof("dictionary") + 4);
   int64_t entry_num = 0;
   while (bytes < target_bytes) {
-    std::unique_ptr<xml::Node> entry = Instantiate(*entry_template, ctx);
+    const xml::Node* entry = Instantiate(*entry_template, ctx, *root);
     bytes += xml::Serialize(*entry).size();
-    root->AddChild(std::move(entry));
     ++entry_num;
   }
-
-  DictionaryResult result;
-  result.doc = xml::Document("dictionary.xml", std::move(root));
+  result.doc.AssignOrder();
   result.entry_num = entry_num;
   return result;
 }

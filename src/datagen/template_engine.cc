@@ -3,10 +3,10 @@
 namespace xbench::datagen {
 namespace {
 
-std::unique_ptr<xml::Node> InstantiateRec(
-    const TemplateNode& tmpl, GenContext& ctx,
-    std::map<const TemplateNode*, int>& depth) {
-  auto element = xml::Node::Element(tmpl.name);
+xml::Node* InstantiateRec(const TemplateNode& tmpl, GenContext& ctx,
+                          std::map<const TemplateNode*, int>& depth,
+                          xml::Node& parent) {
+  xml::Node* element = parent.AddElement(tmpl.name);
   for (const AttrTemplate& attr : tmpl.attrs) {
     if (attr.presence < 1.0 && !ctx.rng().NextBool(attr.presence)) continue;
     element->SetAttribute(attr.name, attr.value(ctx));
@@ -22,7 +22,7 @@ std::unique_ptr<xml::Node> InstantiateRec(
     ++d;
     const int64_t n = child.count ? child.count->Sample(ctx.rng()) : 1;
     for (int64_t i = 0; i < n; ++i) {
-      element->AddChild(InstantiateRec(child_tmpl, ctx, depth));
+      InstantiateRec(child_tmpl, ctx, depth, *element);
     }
     --d;
   }
@@ -63,10 +63,10 @@ void TemplateNode::SetAttr(std::string attr_name, ValueGen gen,
   attrs.push_back({std::move(attr_name), std::move(gen), presence});
 }
 
-std::unique_ptr<xml::Node> Instantiate(const TemplateNode& tmpl,
-                                       GenContext& ctx) {
+xml::Node* Instantiate(const TemplateNode& tmpl, GenContext& ctx,
+                       xml::Node& parent) {
   std::map<const TemplateNode*, int> depth;
-  return InstantiateRec(tmpl, ctx, depth);
+  return InstantiateRec(tmpl, ctx, depth, parent);
 }
 
 }  // namespace xbench::datagen

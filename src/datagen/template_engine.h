@@ -84,9 +84,10 @@ struct TemplateNode {
   void SetAttr(std::string attr_name, ValueGen gen, double presence = 1.0);
 };
 
-/// Instantiates one element from the template.
-std::unique_ptr<xml::Node> Instantiate(const TemplateNode& tmpl,
-                                       GenContext& ctx);
+/// Instantiates one element from the template as the last child of
+/// `parent` (allocated from the parent's arena) and returns it.
+xml::Node* Instantiate(const TemplateNode& tmpl, GenContext& ctx,
+                       xml::Node& parent);
 
 }  // namespace xbench::datagen
 

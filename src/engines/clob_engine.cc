@@ -145,9 +145,7 @@ Result<const xml::Document*> ClobEngine::FetchDocument(
   {
     MutexLock cache_lock(cache_mu_);
     auto cached = cache_.find(doc_name);
-    if (cached != cache_.end()) {
-      return const_cast<const xml::Document*>(cached->second.get());
-    }
+    if (cached != cache_.end()) return &cached->second;
   }
   auto it = registry_.find(doc_name);
   if (it == registry_.end()) {
@@ -156,11 +154,12 @@ Result<const xml::Document*> ClobEngine::FetchDocument(
   const std::string text = clob_file_->Read(it->second);
   auto parsed = xml::Parse(text, doc_name);
   if (!parsed.ok()) return parsed.status();
-  auto doc = std::make_unique<xml::Document>(std::move(parsed).value());
   // Racing fetches of one document both parse; the first insert wins.
+  // Moving a Document never moves its nodes.
   MutexLock cache_lock(cache_mu_);
-  auto [slot, inserted] = cache_.emplace(doc_name, std::move(doc));
-  return const_cast<const xml::Document*>(slot->second.get());
+  auto [slot, inserted] =
+      cache_.try_emplace(doc_name, std::move(parsed).value());
+  return &slot->second;
 }
 
 std::vector<std::string> ClobEngine::DocumentNames() const {

@@ -102,7 +102,7 @@ class ClobEngine : public XmlDbms {
   std::map<std::string, storage::RecordId> registry_
       XBENCH_GUARDED_BY(collection_mu_);
   mutable Mutex cache_mu_{LockRank::kDocumentCache, "clob.doc.cache"};
-  std::map<std::string, std::unique_ptr<xml::Document>> cache_
+  std::map<std::string, xml::Document> cache_
       XBENCH_GUARDED_BY(cache_mu_);
   mutable Mutex ast_mu_{LockRank::kAstCache, "clob.ast.cache"};
   std::map<std::string, xquery::ExprPtr, std::less<>> ast_cache_

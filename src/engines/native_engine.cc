@@ -26,8 +26,8 @@ std::vector<std::string> ExtractIndexValues(const xml::Node& root,
     if (!node.is_element() || node.name() != element) return;
     if (attribute.empty()) {
       values.push_back(node.TextContent());
-    } else if (const std::string* v = node.FindAttribute(attribute)) {
-      values.push_back(*v);
+    } else if (const std::string_view* v = node.FindAttribute(attribute)) {
+      values.emplace_back(*v);
     }
   });
   return values;
@@ -371,9 +371,7 @@ Result<const xml::Document*> NativeEngine::Materialize(size_t ordinal) {
   {
     MutexLock cache_lock(cache_mu_);
     auto it = cache_.find(ordinal);
-    if (it != cache_.end()) {
-      return const_cast<const xml::Document*>(it->second.doc.get());
-    }
+    if (it != cache_.end()) return &it->second;
   }
   obs::ScopedSpan span("native.materialize");
   static obs::Counter& materialized = obs::MetricsRegistry::Default().GetCounter(
@@ -383,15 +381,11 @@ Result<const xml::Document*> NativeEngine::Materialize(size_t ordinal) {
   const std::string text = file_->Read(entry.record);
   auto parsed = xml::Parse(text, entry.name);
   if (!parsed.ok()) return parsed.status();
-  auto doc = std::make_unique<xml::Document>(std::move(parsed).value());
   // Racing materializations of the same ordinal both reach here; the
-  // first insert wins and the loser's parse is discarded. Entries are
-  // never replaced while readers hold the collection lock shared, so the
-  // returned pointer stays valid for the statement.
+  // first insert wins and the loser's parse is discarded.
   MutexLock cache_lock(cache_mu_);
-  auto [it, inserted] = cache_.try_emplace(ordinal);
-  if (inserted) it->second.doc = std::move(doc);
-  return const_cast<const xml::Document*>(it->second.doc.get());
+  auto [it, inserted] = cache_.try_emplace(ordinal, std::move(parsed).value());
+  return &it->second;
 }
 
 const xml::Node* NativeEngine::NodeByRid(uint64_t rid) {
@@ -402,22 +396,9 @@ const xml::Node* NativeEngine::NodeByRid(uint64_t rid) {
   }
   auto doc_or = Materialize(ordinal);
   if (!doc_or.ok()) return nullptr;
-  const xml::Document* doc = doc_or.value();
-  MutexLock cache_lock(cache_mu_);
-  auto it = cache_.find(ordinal);
-  if (it == cache_.end()) return nullptr;
-  CachedDoc& entry = it->second;
-  if (entry.by_order.empty()) {
-    // Pre-order ids are dense from 1, so a flat table resolves postings
-    // in O(1); built once per materialization, shared by every probe.
-    entry.by_order.assign(doc->NodeCount() + 1, nullptr);
-    doc->root()->Visit([&](const xml::Node& node) {
-      if (node.order() < entry.by_order.size()) {
-        entry.by_order[node.order()] = &node;
-      }
-    });
-  }
-  return order < entry.by_order.size() ? entry.by_order[order] : nullptr;
+  // Pre-order ids are dense from 1, so the parser's own order table
+  // resolves postings in O(1).
+  return doc_or.value()->NodeAt(order);
 }
 
 std::optional<std::vector<const xml::Node*>> NativeEngine::ProbeValueEquals(

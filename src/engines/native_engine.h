@@ -190,23 +190,15 @@ class NativeEngine : public XmlDbms {
     bool single_valued = true;
   };
 
-  /// A materialized document plus its lazily-built order -> node table
-  /// (pre-order ids are dense from 1, so a flat vector resolves index
-  /// postings in O(1)).
-  struct CachedDoc {
-    std::unique_ptr<xml::Document> doc;
-    std::vector<const xml::Node*> by_order;
-  };
-
   /// Parses document `ordinal` out of the page store (I/O + parse cost),
   /// caching it until the next cold restart. Thread-safe: racing
   /// materializations of the same ordinal both parse, first insert wins.
   Result<const xml::Document*> Materialize(size_t ordinal)
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
-  /// Resolves a packed (ordinal, pre-order) posting to its live node,
-  /// materializing the document on demand. nullptr when the document is
-  /// deleted or the order is out of range.
+  /// Resolves a packed (ordinal, pre-order) posting to its live node
+  /// through Document::NodeAt, materializing the document on demand.
+  /// nullptr when the document is deleted or the order is out of range.
   const xml::Node* NodeByRid(uint64_t rid)
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
@@ -301,7 +293,11 @@ class NativeEngine : public XmlDbms {
   xquery::plan::IndexCatalog catalog_ XBENCH_GUARDED_BY(index_mu_);
 
   mutable Mutex cache_mu_{LockRank::kDocumentCache, "native.doc.cache"};
-  std::map<size_t, CachedDoc> cache_ XBENCH_GUARDED_BY(cache_mu_);
+  /// Materialized documents by ordinal. Moving a Document never moves its
+  /// nodes, and an entry is never replaced while readers hold the
+  /// collection lock shared, so pointers into it stay valid for a
+  /// statement.
+  std::map<size_t, xml::Document> cache_ XBENCH_GUARDED_BY(cache_mu_);
   xquery::plan::PlanCache plan_cache_;
   // Convenience slot for single-threaded callers; unsynchronized by
   // documented contract (see last_plan_stats()).

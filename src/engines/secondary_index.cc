@@ -182,8 +182,8 @@ std::vector<std::pair<std::string, uint32_t>> ExtractIndexPostings(
     if (!attribute.empty()) {
       // Anchor = the element carrying the attribute; one value each, so
       // the per-parent multiplicity check is vacuous.
-      if (const std::string* v = node.FindAttribute(attribute)) {
-        out.emplace_back(*v, node.order());
+      if (const std::string_view* v = node.FindAttribute(attribute)) {
+        out.emplace_back(std::string(*v), node.order());
       }
       return;
     }

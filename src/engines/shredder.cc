@@ -35,9 +35,9 @@ std::pair<bool, std::string> ExtractRelPath(const xml::Node& element,
   for (size_t i = 0; i < segments.size(); ++i) {
     const std::string& seg = segments[i];
     if (!seg.empty() && seg[0] == '@') {
-      const std::string* attr = current->FindAttribute(seg.substr(1));
+      const std::string_view* attr = current->FindAttribute(seg.substr(1));
       if (attr == nullptr) return {false, ""};
-      return {true, *attr};
+      return {true, std::string(*attr)};
     }
     const xml::Node* child = current->FirstChild(seg);
     if (child == nullptr) return {false, ""};

@@ -38,7 +38,8 @@ xml::Document BuildCatalog(const TpcwData& data) {
     item_to_authors[ia.ia_i_id].push_back(ia.ia_a_id);
   }
 
-  auto root = xml::Node::Element("catalog");
+  xml::Document doc("catalog.xml");
+  xml::Node* root = doc.CreateRoot("catalog");
   for (const Item& item : data.items) {
     xml::Node* item_node = root->AddElement("item");
     item_node->SetAttribute("id", ItemIdString(item.i_id));
@@ -81,7 +82,8 @@ xml::Document BuildCatalog(const TpcwData& data) {
     item_node->AddSimple("isbn", item.i_isbn);
     item_node->AddSimple("backing", item.i_backing);
   }
-  return xml::Document("catalog.xml", std::move(root));
+  doc.AssignOrder();
+  return doc;
 }
 
 std::vector<xml::Document> BuildOrderDocuments(const TpcwData& data) {
@@ -97,7 +99,8 @@ std::vector<xml::Document> BuildOrderDocuments(const TpcwData& data) {
   std::vector<xml::Document> docs;
   docs.reserve(data.orders.size());
   for (const Order& order : data.orders) {
-    auto root = xml::Node::Element("order");
+    xml::Document doc("order" + PadNumber(order.o_id, 6) + ".xml");
+    xml::Node* root = doc.CreateRoot("order");
     root->SetAttribute("id", OrderIdString(order.o_id));
     root->AddSimple("customer_id", CustomerIdString(order.o_c_id));
     root->AddSimple("order_date", order.o_date);
@@ -139,8 +142,8 @@ std::vector<xml::Document> BuildOrderDocuments(const TpcwData& data) {
       }
     }
 
-    docs.emplace_back("order" + PadNumber(order.o_id, 6) + ".xml",
-                      std::move(root));
+    doc.AssignOrder();
+    docs.push_back(std::move(doc));
   }
   return docs;
 }
@@ -164,7 +167,8 @@ std::vector<xml::Document> BuildFlatDocuments(const TpcwData& data) {
     size_t emitted = 0;
     int chunk = 0;
     do {
-      auto root = xml::Node::Element(root_name);
+      xml::Document doc;
+      xml::Node* root = doc.CreateRoot(root_name);
       const size_t end = std::min(row_count, emitted + kFlatChunkRows);
       for (; emitted < end; ++emitted) {
         emit_row(*root, emitted);
@@ -174,7 +178,9 @@ std::vector<xml::Document> BuildFlatDocuments(const TpcwData& data) {
       if (row_count > kFlatChunkRows) {
         name += StrCat({"_", PadNumber(chunk, 3)});
       }
-      docs.emplace_back(name + ".xml", std::move(root));
+      doc.set_name(name + ".xml");
+      doc.AssignOrder();
+      docs.push_back(std::move(doc));
     } while (emitted < row_count);
   };
 

@@ -159,7 +159,7 @@ Status ValidateContent(const Dtd::ElementDecl& decl, const Node& node) {
           }
           continue;
         }
-        children.push_back(child.get());
+        children.push_back(child);
       }
       size_t i = 0;
       for (const Dtd::Particle& particle : decl.sequence) {
@@ -200,9 +200,10 @@ Status ValidateElement(const Dtd& dtd, const Node& node) {
   }
   // Attributes.
   for (const Attribute& attr : node.attributes()) {
-    if (decl->attributes.count(attr.name) == 0) {
-      return Status::InvalidArgument("undeclared attribute '" + attr.name +
-                                     "' on <" + node.name() + ">");
+    if (decl->attributes.count(std::string(attr.name)) == 0) {
+      return Status::InvalidArgument("undeclared attribute '" +
+                                     std::string(attr.name) + "' on <" +
+                                     node.name() + ">");
     }
   }
   for (const auto& [name, required] : decl->attributes) {

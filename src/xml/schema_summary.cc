@@ -20,7 +20,7 @@ void SchemaSummary::Accumulate(const Node& node, int depth) {
   TypeInfo& info = types_[node.name()];
   ++info.instance_count;
   for (const Attribute& attr : node.attributes()) {
-    ++info.attributes[attr.name];
+    ++info.attributes[std::string(attr.name)];
   }
 
   // Count per-type occurrences among this instance's children, and record

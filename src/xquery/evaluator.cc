@@ -74,7 +74,7 @@ const char* OperatorSpanName(ExprKind kind) {
 class Evaluator {
  public:
   Evaluator(const Bindings& bindings, const EvalOptions& options,
-            std::vector<std::unique_ptr<xml::Node>>& arena,
+            xml::Arena& arena,
             const std::vector<ScopeBinding>* seed_scope = nullptr)
       : bindings_(bindings),
         options_(options),
@@ -253,14 +253,13 @@ class Evaluator {
         return out;
       }
       case ExprKind::kConstructor: {
-        XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<xml::Node> node,
-                                BuildConstructed(e, focus));
+        XBENCH_ASSIGN_OR_RETURN(xml::Node* node,
+                                BuildConstructed(e, focus, nullptr));
         // Constructed trees get order ids so document-order operations on
         // them behave.
         uint32_t next = 1;
         AssignOrder(*node, next);
-        arena_.push_back(std::move(node));
-        return Sequence{Item::Node(arena_.back().get())};
+        return Sequence{Item::Node(node)};
       }
     }
     return Status::Internal("unhandled expression kind");
@@ -269,9 +268,7 @@ class Evaluator {
  private:
   static void AssignOrder(xml::Node& node, uint32_t& next) {
     node.set_order(next++);
-    for (const auto& child : node.children()) {
-      AssignOrder(const_cast<xml::Node&>(*child), next);
-    }
+    for (xml::Node* child : node.children()) AssignOrder(*child, next);
   }
 
   Result<Sequence> LookupVariable(const std::string& name) const {
@@ -334,6 +331,7 @@ class Evaluator {
   /// child step builds — so positional predicates keep their meaning.
   Result<Sequence> EvalExpandedDescendant(const Step& step,
                                           const Sequence& input) {
+    VisitTally visited(nodes_visited_);
     Sequence result;
     for (const Item& context : input) {
       if (!context.is_node_kind()) {
@@ -352,19 +350,19 @@ class Evaluator {
       if (step.predicates.empty()) {
         Sequence candidates;
         if (covered) {
-          GuidedCollect(node, 0, chains, candidates, nodes_visited_);
+          GuidedCollect(node, 0, chains, candidates, visited.count);
         } else {
           CollectDescendants(node, step.name_test, /*include_self=*/false,
-                             candidates, nodes_visited_);
+                             candidates, visited.count);
         }
         result.insert(result.end(), candidates.begin(), candidates.end());
         continue;
       }
       std::vector<Sequence> groups;
       if (covered) {
-        GuidedCollectGroups(node, 0, chains, groups, nodes_visited_);
+        GuidedCollectGroups(node, 0, chains, groups, visited.count);
       } else {
-        CollectChildGroups(node, step.name_test, groups, nodes_visited_);
+        CollectChildGroups(node, step.name_test, groups, visited.count);
       }
       for (Sequence& group : groups) {
         XBENCH_ASSIGN_OR_RETURN(
@@ -409,6 +407,7 @@ class Evaluator {
 
   Result<Sequence> EvalStep(const Step& step, const Sequence& input,
                             const Focus&) {
+    VisitTally visited(nodes_visited_);
     Sequence result;
     for (const Item& context : input) {
       if (!context.is_node_kind()) {
@@ -421,7 +420,7 @@ class Evaluator {
       }
       Sequence candidates =
           AxisCandidates(*context.node, step.axis, step.name_test,
-                         nodes_visited_);
+                         visited.count);
       XBENCH_ASSIGN_OR_RETURN(
           candidates, ApplyPredicates(step.predicates, std::move(candidates)));
       result.insert(result.end(), candidates.begin(), candidates.end());
@@ -632,9 +631,13 @@ class Evaluator {
     return out;
   }
 
-  Result<std::unique_ptr<xml::Node>> BuildConstructed(const Expr& e,
-                                                      const Focus& focus) {
-    auto element = xml::Node::Element(e.element_name);
+  /// Builds the element `e` constructs in the result arena: as the last
+  /// child of `parent`, or as a new tree root when `parent` is null.
+  Result<xml::Node*> BuildConstructed(const Expr& e, const Focus& focus,
+                                      xml::Node* parent) {
+    xml::Node* element = parent != nullptr
+                             ? parent->AddElement(e.element_name)
+                             : arena_.NewElement(e.element_name);
     for (const ConstructorAttr& attr : e.constructor_attrs) {
       XBENCH_ASSIGN_OR_RETURN(std::string value,
                               EvalContentParts(attr.value_parts, focus));
@@ -654,9 +657,8 @@ class Evaluator {
           break;
         case ConstructorContent::kChild: {
           flush_atomics();
-          XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<xml::Node> child,
-                                  BuildConstructed(*part.child, focus));
-          element->AddChild(std::move(child));
+          XBENCH_RETURN_IF_ERROR(
+              BuildConstructed(*part.child, focus, element).status());
           break;
         }
         case ConstructorContent::kExpr: {
@@ -664,7 +666,7 @@ class Evaluator {
           for (const Item& item : value) {
             if (item.kind == Item::Kind::kNode) {
               flush_atomics();
-              element->AddChild(item.node->Clone());
+              element->AppendCopy(*item.node);
             } else if (item.kind == Item::Kind::kAttribute) {
               // Attribute items in content contribute their value as text.
               atomics.push_back(AtomizeToString(item));
@@ -683,7 +685,7 @@ class Evaluator {
 
   const Bindings& bindings_;
   const EvalOptions& options_;
-  std::vector<std::unique_ptr<xml::Node>>& arena_;
+  xml::Arena& arena_;
   std::vector<std::pair<std::string, Sequence>> scope_;
   obs::Counter& operator_evals_;
   obs::Counter& nodes_visited_;
@@ -711,7 +713,8 @@ Result<QueryResult> Evaluate(const Expr& query, const Bindings& bindings,
                              const EvalOptions& options) {
   obs::ScopedSpan span("xquery.eval");
   QueryResult result;
-  Evaluator evaluator(bindings, options, result.constructed);
+  result.constructed = std::make_unique<xml::Arena>();
+  Evaluator evaluator(bindings, options, *result.constructed);
   Focus focus;  // no initial context item; queries start from variables
   auto items = evaluator.Eval(query, focus);
   if (!items.ok()) return items.status();
@@ -723,7 +726,7 @@ Result<Sequence> EvalWithEnv(const Expr& expr, const Bindings& bindings,
                              const std::vector<ScopeBinding>& scope,
                              const Item* context_item, size_t position,
                              size_t size, const EvalOptions& options,
-                             std::vector<std::unique_ptr<xml::Node>>& arena) {
+                             xml::Arena& arena) {
   Evaluator evaluator(bindings, options, arena, &scope);
   Focus focus;
   if (context_item != nullptr) {

@@ -17,10 +17,10 @@ namespace xbench::xquery {
 
 /// The result of a query: the item sequence plus the arena that owns any
 /// nodes built by element constructors (result items may point into it, so
-/// it must outlive the items).
+/// it must outlive the items). Null when nothing could be constructed.
 struct QueryResult {
   Sequence items;
-  std::vector<std::unique_ptr<xml::Node>> constructed;
+  std::unique_ptr<xml::Arena> constructed;
 
   /// Serializes every item: elements as XML, atomics/attributes as their
   /// string value — one line per item. Used for answer comparison.
@@ -66,7 +66,7 @@ Result<Sequence> EvalWithEnv(const Expr& expr, const Bindings& bindings,
                              const std::vector<ScopeBinding>& scope,
                              const Item* context_item, size_t position,
                              size_t size, const EvalOptions& options,
-                             std::vector<std::unique_ptr<xml::Node>>& arena);
+                             xml::Arena& arena);
 
 /// Parse + evaluate convenience (one-shot callers only; the workload
 /// runner and engines hold parsed ASTs / compiled plans instead of

@@ -27,8 +27,8 @@ using plan::ProbeKind;
 using Env = std::vector<ScopeBinding>;
 
 /// Owner of constructor-built nodes (QueryResult::constructed and the
-/// per-index scratch arenas of a wide region share this shape).
-using Arena = std::vector<std::unique_ptr<xml::Node>>;
+/// per-index scratch arenas of a wide region).
+using xml::Arena;
 
 /// Tuples pulled per NextBatch() call. Large enough to amortize the
 /// per-pull virtual dispatch and to give a parallel where clause a full
@@ -42,11 +42,11 @@ constexpr size_t kTupleBatch = 64;
 ///
 /// Thread-safety contract for morsel tasks (DESIGN.md §12): while a
 /// parallel region runs, tasks may read bindings/options/scope (no
-/// operator mutates them mid-region) and increment the atomic
-/// nodes_visited counter, but must not touch arena, stats, or the scope
-/// stack — each task writes only its own index's output slot and a
-/// task-private arena that RunParallel splices back in a fixed order
-/// after the region joins.
+/// operator mutates them mid-region), but must not touch arena, stats,
+/// or the scope stack — each task writes only its own index's output slot
+/// (node-visit tallies included) and a task-private arena that
+/// RunParallel adopts into the run arena in a fixed order after the
+/// region joins.
 struct ExecContext {
   const Bindings* bindings = nullptr;
   const EvalOptions* options = nullptr;
@@ -80,11 +80,12 @@ size_t LanesFor(size_t total) {
 /// input (LanesFor). Below two lanes the region runs inline on the caller
 /// with the run arena and books no morsels. Otherwise it runs on the
 /// shared worker pool, each index building nodes into its own scratch
-/// arena; the arenas are spliced into the run arena in index order after
-/// the join, so node ownership is identical no matter which lane built
-/// which node, and the region's morsels are booked against the operator's
-/// stats slot. Either way the lowest-index error is returned, matching a
-/// sequential loop's first error regardless of lane interleaving.
+/// arena; the run arena adopts the arenas whole (blocks, not nodes) in
+/// index order after the join, so node ownership is identical no matter
+/// which lane built which node, and the region's morsels are booked
+/// against the operator's stats slot. Either way the lowest-index error
+/// is returned, matching a sequential loop's first error regardless of
+/// lane interleaving.
 template <typename Fn>
 Status RunParallel(ExecContext& ctx, size_t slot, size_t total, Fn&& fn) {
   const size_t lanes = LanesFor(total);
@@ -94,14 +95,16 @@ Status RunParallel(ExecContext& ctx, size_t slot, size_t total, Fn&& fn) {
     }
     return Status::Ok();
   }
-  std::vector<Arena> arenas(total);
+  std::vector<std::unique_ptr<Arena>> arenas(total);
   ParallelRunStats stats;
   const Status status = WorkerPool::Default().ParallelFor(
       total, static_cast<int>(lanes),
-      [&](size_t i) { return fn(i, arenas[i]); }, &stats);
-  for (Arena& arena : arenas) {
-    for (auto& node : arena) ctx.arena->push_back(std::move(node));
-  }
+      [&](size_t i) {
+        arenas[i] = std::make_unique<Arena>();
+        return fn(i, *arenas[i]);
+      },
+      &stats);
+  for (auto& arena : arenas) ctx.arena->Adopt(std::move(arena));
   (*ctx.stats)[slot].morsels += stats.morsels;
   return status;
 }
@@ -296,6 +299,7 @@ class AxisStepOp final : public ItemOp {
  protected:
   Result<Sequence> DoRun(ExecContext& ctx) const override {
     XBENCH_ASSIGN_OR_RETURN(Sequence input, input_->Run(ctx));
+    VisitTally visited(*ctx.nodes_visited);
     Sequence result;
     for (const Item& context : input) {
       if (!context.is_node_kind()) {
@@ -307,7 +311,7 @@ class AxisStepOp final : public ItemOp {
         continue;
       }
       Sequence candidates = AxisCandidates(*context.node, axis_, name_test_,
-                                           *ctx.nodes_visited);
+                                           visited.count);
       XBENCH_ASSIGN_OR_RETURN(
           candidates,
           RunPredicates(ctx, slot(), predicates_, std::move(candidates)));
@@ -358,6 +362,7 @@ class DescendantStepOp final : public ItemOp {
         return Status::InvalidArgument("path step applied to an atomic value");
       }
     }
+    VisitTally visited(*ctx.nodes_visited);
     Sequence result;
     if (!predicates_.empty()) {
       // Candidate-group collection is a cheap tree walk; do it
@@ -369,9 +374,9 @@ class DescendantStepOp final : public ItemOp {
         bool covered = false;
         std::vector<const StepExpansion*> chains = ChainsFor(node, covered);
         if (covered) {
-          GuidedCollectGroups(node, 0, chains, groups, *ctx.nodes_visited);
+          GuidedCollectGroups(node, 0, chains, groups, visited.count);
         } else {
-          CollectChildGroups(node, name_test_, groups, *ctx.nodes_visited);
+          CollectChildGroups(node, name_test_, groups, visited.count);
         }
       }
       if (groups.size() == 1) {
@@ -408,6 +413,7 @@ class DescendantStepOp final : public ItemOp {
     if (LanesFor(element_contexts) >=
         static_cast<size_t>(WorkerPool::Default().thread_count())) {
       std::vector<Sequence> outputs(input.size());
+      std::vector<uint64_t> tallies(input.size(), 0);
       const Status status = RunParallel(
           ctx, slot(), input.size(), [&](size_t i, Arena&) -> Status {
             const Item& context = input[i];
@@ -417,13 +423,14 @@ class DescendantStepOp final : public ItemOp {
             std::vector<const StepExpansion*> chains =
                 ChainsFor(node, covered);
             if (covered) {
-              GuidedCollect(node, 0, chains, outputs[i], *ctx.nodes_visited);
+              GuidedCollect(node, 0, chains, outputs[i], tallies[i]);
             } else {
               CollectDescendants(node, name_test_, /*include_self=*/false,
-                                 outputs[i], *ctx.nodes_visited);
+                                 outputs[i], tallies[i]);
             }
             return Status::Ok();
           });
+      for (uint64_t tally : tallies) visited.count += tally;
       if (!status.ok()) return status;
       for (const Sequence& out : outputs) {
         result.insert(result.end(), out.begin(), out.end());
@@ -449,30 +456,31 @@ class DescendantStepOp final : public ItemOp {
       std::vector<const StepExpansion*> chains = ChainsFor(node, covered);
       if (covered) {
         context_chains.push_back(std::move(chains));
-        for (const auto& child : node.children()) {
+        for (const xml::Node* child : node.children()) {
           if (!child->is_element()) continue;
-          units.push_back({child.get(), &context_chains.back()});
+          units.push_back({child, &context_chains.back()});
         }
       } else {
         // A whole-subtree walk visits the context root itself (and would
         // emit it under include_self, which descendant steps never set).
-        ctx.nodes_visited->Increment();
-        for (const auto& child : node.children()) {
-          units.push_back({child.get(), nullptr});
+        ++visited.count;
+        for (const xml::Node* child : node.children()) {
+          units.push_back({child, nullptr});
         }
       }
     }
     std::vector<Sequence> outputs(units.size());
+    std::vector<uint64_t> tallies(units.size(), 0);
     const Status status = RunParallel(
         ctx, slot(), units.size(), [&](size_t i, Arena&) -> Status {
           const FrontierUnit& unit = units[i];
           if (unit.chains == nullptr) {
             CollectDescendants(*unit.node, name_test_, /*include_self=*/true,
-                               outputs[i], *ctx.nodes_visited);
+                               outputs[i], tallies[i]);
             return Status::Ok();
           }
           // Per-child body of GuidedCollect at depth 0.
-          ctx.nodes_visited->Increment();
+          ++tallies[i];
           bool emit = false;
           std::vector<const StepExpansion*> deeper;
           for (const StepExpansion* chain : *unit.chains) {
@@ -488,11 +496,11 @@ class DescendantStepOp final : public ItemOp {
           }
           if (emit) outputs[i].push_back(Item::Node(unit.node));
           if (!deeper.empty()) {
-            GuidedCollect(*unit.node, 1, deeper, outputs[i],
-                          *ctx.nodes_visited);
+            GuidedCollect(*unit.node, 1, deeper, outputs[i], tallies[i]);
           }
           return Status::Ok();
         });
+    for (uint64_t tally : tallies) visited.count += tally;
     if (!status.ok()) return status;
     for (const Sequence& out : outputs) {
       result.insert(result.end(), out.begin(), out.end());
@@ -627,9 +635,10 @@ class IndexProbeOp final : public ItemOp {
     std::set<const xml::Node*> root_set;
     for (const Item& item : roots) root_set.insert(item.node);
     Sequence candidates;
+    VisitTally visited(*ctx.nodes_visited);
     for (const xml::Node* posting : *postings) {
       if (posting == nullptr) continue;
-      ctx.nodes_visited->Increment();
+      ++visited.count;
       if (probe_.kind == ProbeKind::kTextWord) {
         CollectTextCandidates(posting, root_set, candidates);
         continue;
@@ -1565,7 +1574,8 @@ Result<QueryResult> Execute(const PhysicalPlan& plan, const Bindings& bindings,
   ExecContext ctx;
   ctx.bindings = &bindings;
   ctx.options = &options;
-  ctx.arena = &result.constructed;
+  result.constructed = std::make_unique<Arena>();
+  ctx.arena = result.constructed.get();
   ctx.stats = &op_stats;
   ctx.indexes = indexes;
   ctx.nodes_visited = &obs::MetricsRegistry::Default().GetCounter(

@@ -281,8 +281,9 @@ Result<Sequence> CallFunction(std::string_view name,
       return Sequence{Item::String(item.node->name())};
     }
     if (item.kind == Item::Kind::kAttribute) {
-      return Sequence{Item::String(
-          item.node->attributes()[static_cast<size_t>(item.attr_index)].name)};
+      return Sequence{Item::String(std::string(
+          item.node->attributes()[static_cast<size_t>(item.attr_index)]
+              .name))};
     }
     return Sequence{Item::String("")};
   }

@@ -25,11 +25,12 @@ std::string FormatNumber(double value) {
 std::string AtomizeToString(const Item& item) {
   switch (item.kind) {
     case Item::Kind::kNode:
-      return item.node->is_text() ? item.node->text()
+      return item.node->is_text() ? std::string(item.node->text())
                                   : item.node->TextContent();
     case Item::Kind::kAttribute:
-      return item.node->attributes()[static_cast<size_t>(item.attr_index)]
-          .value;
+      return std::string(
+          item.node->attributes()[static_cast<size_t>(item.attr_index)]
+              .value);
     case Item::Kind::kString:
       return item.str;
     case Item::Kind::kNumber:

@@ -10,22 +10,22 @@ bool ElementMatches(const xml::Node& node, const std::string& name_test) {
 
 void CollectDescendants(const xml::Node& node, const std::string& name_test,
                         bool include_self, Sequence& out,
-                        obs::Counter& visited) {
-  visited.Increment();
+                        uint64_t& visited) {
+  ++visited;
   if (include_self && ElementMatches(node, name_test)) {
     out.push_back(Item::Node(&node));
   }
-  for (const auto& child : node.children()) {
+  for (const xml::Node* child : node.children()) {
     CollectDescendants(*child, name_test, /*include_self=*/true, out, visited);
   }
 }
 
 void GuidedCollect(const xml::Node& node, size_t depth,
                    const std::vector<const StepExpansion*>& chains,
-                   Sequence& out, obs::Counter& visited) {
-  for (const auto& child : node.children()) {
+                   Sequence& out, uint64_t& visited) {
+  for (const xml::Node* child : node.children()) {
     if (!child->is_element()) continue;
-    visited.Increment();
+    ++visited;
     bool emit = false;
     std::vector<const StepExpansion*> deeper;
     for (const StepExpansion* chain : chains) {
@@ -39,7 +39,7 @@ void GuidedCollect(const xml::Node& node, size_t depth,
         deeper.push_back(chain);
       }
     }
-    if (emit) out.push_back(Item::Node(child.get()));
+    if (emit) out.push_back(Item::Node(child));
     if (!deeper.empty()) {
       GuidedCollect(*child, depth + 1, deeper, out, visited);
     }
@@ -49,11 +49,11 @@ void GuidedCollect(const xml::Node& node, size_t depth,
 void GuidedCollectGroups(const xml::Node& node, size_t depth,
                          const std::vector<const StepExpansion*>& chains,
                          std::vector<Sequence>& groups,
-                         obs::Counter& visited) {
+                         uint64_t& visited) {
   Sequence here;
-  for (const auto& child : node.children()) {
+  for (const xml::Node* child : node.children()) {
     if (!child->is_element()) continue;
-    visited.Increment();
+    ++visited;
     bool emit = false;
     std::vector<const StepExpansion*> deeper;
     for (const StepExpansion* chain : chains) {
@@ -67,7 +67,7 @@ void GuidedCollectGroups(const xml::Node& node, size_t depth,
         deeper.push_back(chain);
       }
     }
-    if (emit) here.push_back(Item::Node(child.get()));
+    if (emit) here.push_back(Item::Node(child));
     if (!deeper.empty()) {
       GuidedCollectGroups(*child, depth + 1, deeper, groups, visited);
     }
@@ -77,16 +77,16 @@ void GuidedCollectGroups(const xml::Node& node, size_t depth,
 
 void CollectChildGroups(const xml::Node& node, const std::string& name_test,
                         std::vector<Sequence>& groups,
-                        obs::Counter& visited) {
-  visited.Increment();
+                        uint64_t& visited) {
+  ++visited;
   Sequence here;
-  for (const auto& child : node.children()) {
+  for (const xml::Node* child : node.children()) {
     if (ElementMatches(*child, name_test)) {
-      here.push_back(Item::Node(child.get()));
+      here.push_back(Item::Node(child));
     }
   }
   if (!here.empty()) groups.push_back(std::move(here));
-  for (const auto& child : node.children()) {
+  for (const xml::Node* child : node.children()) {
     if (child->is_element()) {
       CollectChildGroups(*child, name_test, groups, visited);
     }
@@ -94,14 +94,14 @@ void CollectChildGroups(const xml::Node& node, const std::string& name_test,
 }
 
 Sequence AxisCandidates(const xml::Node& node, Axis axis,
-                        const std::string& name_test, obs::Counter& visited) {
+                        const std::string& name_test, uint64_t& visited) {
   Sequence out;
   switch (axis) {
     case Axis::kChild:
-      visited.Increment(node.children().size());
-      for (const auto& child : node.children()) {
+      visited += node.children().size();
+      for (const xml::Node* child : node.children()) {
         if (ElementMatches(*child, name_test)) {
-          out.push_back(Item::Node(child.get()));
+          out.push_back(Item::Node(child));
         }
       }
       break;
@@ -140,10 +140,10 @@ Sequence AxisCandidates(const xml::Node& node, Axis axis,
     case Axis::kPrecedingSibling: {
       const xml::Node* parent = node.parent();
       if (parent == nullptr) break;
-      const auto& siblings = parent->children();
+      const auto siblings = parent->children();
       size_t self_index = siblings.size();
       for (size_t i = 0; i < siblings.size(); ++i) {
-        if (siblings[i].get() == &node) {
+        if (siblings[i] == &node) {
           self_index = i;
           break;
         }
@@ -151,13 +151,13 @@ Sequence AxisCandidates(const xml::Node& node, Axis axis,
       if (axis == Axis::kFollowingSibling) {
         for (size_t i = self_index + 1; i < siblings.size(); ++i) {
           if (ElementMatches(*siblings[i], name_test)) {
-            out.push_back(Item::Node(siblings[i].get()));
+            out.push_back(Item::Node(siblings[i]));
           }
         }
       } else {
         for (size_t i = self_index; i-- > 0;) {
           if (ElementMatches(*siblings[i], name_test)) {
-            out.push_back(Item::Node(siblings[i].get()));
+            out.push_back(Item::Node(siblings[i]));
           }
         }
       }

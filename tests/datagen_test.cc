@@ -74,7 +74,8 @@ TEST(TemplateEngineTest, CountsAndPresence) {
   child->text = [](GenContext&) { return std::string("x"); };
   root.AddChild("opt", nullptr, /*presence=*/0.0);
 
-  auto node = Instantiate(root, ctx);
+  xml::Document doc("t.xml");
+  auto node = Instantiate(root, ctx, *doc.CreateRoot("parent"));
   const size_t n = node->Children("c").size();
   EXPECT_GE(n, 2u);
   EXPECT_LE(n, 4u);
@@ -90,8 +91,11 @@ TEST(TemplateEngineTest, AttributesAndCounters) {
   root.SetAttr("id", [](GenContext& c) {
     return "N" + std::to_string(c.NextCounter("n"));
   });
-  auto first = Instantiate(root, ctx);
-  auto second = Instantiate(root, ctx);
+  xml::Document doc("t.xml");
+  xml::Node* parent = doc.CreateRoot("parent");
+  auto first = Instantiate(root, ctx, *parent);
+  auto second = Instantiate(root, ctx, *parent);
+  EXPECT_EQ(parent->children().size(), 2u);
   EXPECT_EQ(*first->FindAttribute("id"), "N1");
   EXPECT_EQ(*second->FindAttribute("id"), "N2");
 }
@@ -103,9 +107,9 @@ TEST(TemplateEngineTest, RecursionBounded) {
   TemplateNode sec;
   sec.name = "sec";
   sec.AddRef(&sec, stats::MakeUniform(1, 1), 1.0, /*max_depth=*/3);
-  auto node = Instantiate(sec, ctx);
+  xml::Document doc("t.xml");
+  const xml::Node* cur = Instantiate(sec, ctx, *doc.CreateRoot("parent"));
   int depth = 1;
-  const xml::Node* cur = node.get();
   while ((cur = cur->FirstChild("sec")) != nullptr) ++depth;
   // The root plus max_depth levels of self-reference.
   EXPECT_EQ(depth, 4);
@@ -172,13 +176,13 @@ TEST(DictionaryTest, CrossReferencesPointToExistingEntries) {
   auto result = GenerateDictionary(kTestBytes, 42, words);
   std::set<std::string> ids;
   for (const xml::Node* entry : result.doc.root()->Children("entry")) {
-    ids.insert(*entry->FindAttribute("id"));
+    ids.insert(std::string(*entry->FindAttribute("id")));
   }
   result.doc.root()->Visit([&](const xml::Node& n) {
     if (n.is_element() && n.name() == "ref") {
-      const std::string* to = n.FindAttribute("to");
+      const std::string_view* to = n.FindAttribute("to");
       ASSERT_NE(to, nullptr);
-      EXPECT_TRUE(ids.count(*to)) << *to;
+      EXPECT_TRUE(ids.count(std::string(*to))) << *to;
     }
   });
 }

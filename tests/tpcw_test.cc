@@ -186,7 +186,7 @@ TEST_F(TpcwTest, CustomerIdsJoinOrdersToCustomers) {
   ASSERT_NE(customers, nullptr);
   std::set<std::string> customer_ids;
   for (const xml::Node* c : customers->root()->Children("customer")) {
-    customer_ids.insert(*c->FindAttribute("id"));
+    customer_ids.insert(std::string(*c->FindAttribute("id")));
   }
   for (const xml::Document& order : orders) {
     const std::string cid =

@@ -65,7 +65,7 @@ fi
 
 cmake --build "$BUILD" -j"$(nproc)" \
       --target core_tests xquery_tests plan_tests system_tests xqlint \
-      bench_query json_check \
+      bench_query json_check parse_golden \
       fuzz_xml_parser fuzz_dtd fuzz_xquery fuzz_json plan_differential_fuzz
 
 "$BUILD/tests/core_tests"
@@ -90,6 +90,13 @@ XBENCH_REPORT="$BUILD/asan_query_report.json" \
   "$BUILD/bench/bench_query" --query Q8 --profile > /dev/null
 "$BUILD/tools/json_check" --schema report "$BUILD/asan_query_report.json"
 "$BUILD/tools/json_check" --schema trace "$BUILD/asan_query_trace.json"
+
+# The parser golden sanitized: every corpus and regression input, whole
+# and cut at seven points, so the arena-built trees and every parse-error
+# path run under the sanitizer, and the output must still match.
+"$BUILD/tools/parse_golden" "$ROOT/fuzz/corpus/xml" \
+  "$ROOT/fuzz/regressions/xml" > "$BUILD/xml_parse_actual.txt"
+cmp "$ROOT/tools/golden/xml_parse.txt" "$BUILD/xml_parse_actual.txt"
 
 # Fuzz corpus + regression inputs replayed through all four harnesses
 # under the sanitizer, then a short deterministic mutation loop in each
