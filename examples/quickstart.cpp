@@ -42,14 +42,16 @@ int main() {
     return 1;
   }
 
-  // 3. Index article ids (paper Table 3) and run an indexed lookup.
+  // 3. Index article ids (paper Table 3) and look one article up. The
+  //    planner costs the index probe against a scan; over these nine
+  //    small documents the scan wins, on larger collections the probe.
   if (Status s = engine.CreateIndex({"article/@id", "article/@id"}); !s.ok()) {
     std::fprintf(stderr, "index failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  auto result = engine.QueryWithIndex(
-      "article/@id", datagen::ArticleId(1),
-      "for $a in $input return <hit><id>{$a/@id}</id>"
+  auto result = engine.Query(
+      "for $a in $input[@id = \"" + datagen::ArticleId(1) +
+      "\"] return <hit><id>{$a/@id}</id>"
       "<title>{data($a/prolog/title)}</title></hit>");
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n",

@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "xml/parser.h"
-#include "xquery/parser.h"
 
 namespace xbench::engines {
 
@@ -180,31 +179,28 @@ Result<std::string> ClobEngine::FetchRaw(const std::string& doc_name) {
 Result<xquery::QueryResult> ClobEngine::QueryDocument(
     const std::string& doc_name, std::string_view xquery) {
   XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc, FetchDocument(doc_name));
-  const xquery::Expr* ast = nullptr;
+  std::shared_ptr<const xquery::plan::CompiledQuery> plan;
   {
     MutexLock ast_lock(ast_mu_);
-    auto it = ast_cache_.find(xquery);
-    if (it != ast_cache_.end()) {
+    auto it = plans_.find(xquery);
+    if (it != plans_.end()) {
       obs::MetricsRegistry::Default()
           .GetCounter("xbench.plan.ast_cache_hits")
           .Increment();
-      ast = it->second.get();
+      plan = it->second;
     }
   }
-  if (ast == nullptr) {
+  if (plan == nullptr) {
     obs::MetricsRegistry::Default()
         .GetCounter("xbench.plan.ast_cache_misses")
         .Increment();
-    auto parsed = xquery::ParseQuery(xquery);
-    if (!parsed.ok()) return parsed.status();
+    XBENCH_ASSIGN_OR_RETURN(plan, xquery::plan::CompileText(xquery));
     MutexLock ast_lock(ast_mu_);
-    auto [slot, inserted] =
-        ast_cache_.emplace(std::string(xquery), std::move(parsed).value());
-    ast = slot->second.get();
+    plans_.emplace(std::string(xquery), plan);
   }
   xquery::Bindings bindings;
   bindings["input"] = xquery::Sequence{xquery::Item::Node(doc->root())};
-  return xquery::Evaluate(*ast, bindings);
+  return xquery::exec::Execute(plan->physical, bindings, {});
 }
 
 }  // namespace xbench::engines

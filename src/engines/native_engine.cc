@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "xml/parser.h"
-#include "xquery/parser.h"
 
 namespace xbench::engines {
 
@@ -381,6 +380,7 @@ Result<const xml::Document*> NativeEngine::Materialize(size_t ordinal) {
   const std::string text = file_->Read(entry.record);
   auto parsed = xml::Parse(text, entry.name);
   if (!parsed.ok()) return parsed.status();
+  parsed->root()->arena().set_rank(ordinal);
   // Racing materializations of the same ordinal both reach here; the
   // first insert wins and the loser's parse is discarded.
   MutexLock cache_lock(cache_mu_);
@@ -513,25 +513,11 @@ std::optional<std::vector<size_t>> NativeEngine::PrefilterOrdinals(
   return std::vector<size_t>(ordinals.begin(), ordinals.end());
 }
 
-Result<xquery::QueryResult> NativeEngine::RunOver(
-    const std::vector<size_t>& ordinals, const xquery::Expr& query) {
-  xquery::Sequence input;
-  input.reserve(ordinals.size());
-  for (size_t ordinal : ordinals) {
-    XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc, Materialize(ordinal));
-    input.push_back(xquery::Item::Node(doc->root()));
-  }
-  xquery::Bindings bindings;
-  bindings["input"] = std::move(input);
-  xquery::EvalOptions options;
-  options.use_step_expansions = guided_eval_enabled();
-  return xquery::Evaluate(query, bindings, options);
-}
-
 Result<xquery::QueryResult> NativeEngine::Query(std::string_view xquery) {
-  auto parsed = xquery::ParseQuery(xquery);
-  if (!parsed.ok()) return parsed.status();
-  return Query(**parsed);
+  const xquery::plan::IndexCatalog catalog = IndexCatalogSnapshot();
+  XBENCH_ASSIGN_OR_RETURN(auto compiled,
+                          xquery::plan::CompileText(xquery, &catalog));
+  return ExecutePlan(*compiled);
 }
 
 std::vector<size_t> NativeEngine::LiveOrdinals() const {
@@ -541,18 +527,6 @@ std::vector<size_t> NativeEngine::LiveOrdinals() const {
     if (!registry_[i].deleted) all.push_back(i);
   }
   return all;
-}
-
-Result<xquery::QueryResult> NativeEngine::Query(const xquery::Expr& query) {
-  ReaderLock lock(collection_mu_);
-  return QueryImpl(query);
-}
-
-Result<xquery::QueryResult> NativeEngine::QueryImpl(
-    const xquery::Expr& query) {
-  obs::ScopedClockSource clock_scope(disk_->clock());
-  obs::ScopedSpan span("native.query");
-  return RunOver(LiveOrdinals(), query);
 }
 
 Result<xquery::QueryResult> NativeEngine::RunPlanOver(
@@ -575,8 +549,7 @@ Result<xquery::QueryResult> NativeEngine::RunPlanOver(
   xquery::EvalOptions options;
   options.use_step_expansions = guided_eval_enabled();
   PlanIndexProvider indexes(*this);
-  return xquery::exec::Execute(compiled.physical, bindings, options,
-                               stats != nullptr ? stats : &last_plan_stats_,
+  return xquery::exec::Execute(compiled.physical, bindings, options, stats,
                                &indexes);
 }
 
@@ -605,62 +578,6 @@ Result<xquery::QueryResult> NativeEngine::ExecutePlanLocked(
     }
   }
   return RunPlanOver(LiveOrdinals(), compiled, stats);
-}
-
-Result<xquery::QueryResult> NativeEngine::ExecutePlanWithIndex(
-    const std::string& index_name, const std::string& value,
-    const xquery::plan::CompiledQuery& compiled,
-    xquery::exec::ExecStats* stats) {
-  ReaderLock lock(collection_mu_);
-  return ExecutePlanWithIndexImpl(index_name, value, compiled, stats);
-}
-
-Result<xquery::QueryResult> NativeEngine::ExecutePlanWithIndexImpl(
-    const std::string& index_name, const std::string& value,
-    const xquery::plan::CompiledQuery& compiled,
-    xquery::exec::ExecStats* stats) {
-  auto it = value_indexes_.find(index_name);
-  if (it == value_indexes_.end()) return ExecutePlanLocked(compiled, stats);
-  obs::ScopedClockSource clock_scope(disk_->clock());
-  obs::ScopedSpan span("native.exec_plan_with_index");
-  std::set<size_t> ordinals;
-  for (storage::RecordId rid :
-       it->second.tree->Lookup({relational::Value::String(value)})) {
-    const size_t ordinal = RidOrdinal(rid);
-    if (!registry_[ordinal].deleted) ordinals.insert(ordinal);
-  }
-  return RunPlanOver({ordinals.begin(), ordinals.end()}, compiled, stats);
-}
-
-Result<xquery::QueryResult> NativeEngine::QueryWithIndex(
-    const std::string& index_name, const std::string& value,
-    std::string_view xquery) {
-  auto parsed = xquery::ParseQuery(xquery);
-  if (!parsed.ok()) return parsed.status();
-  return QueryWithIndex(index_name, value, **parsed);
-}
-
-Result<xquery::QueryResult> NativeEngine::QueryWithIndex(
-    const std::string& index_name, const std::string& value,
-    const xquery::Expr& query) {
-  ReaderLock lock(collection_mu_);
-  return QueryWithIndexImpl(index_name, value, query);
-}
-
-Result<xquery::QueryResult> NativeEngine::QueryWithIndexImpl(
-    const std::string& index_name, const std::string& value,
-    const xquery::Expr& query) {
-  auto it = value_indexes_.find(index_name);
-  if (it == value_indexes_.end()) return QueryImpl(query);
-  obs::ScopedClockSource clock_scope(disk_->clock());
-  obs::ScopedSpan span("native.query_with_index");
-  std::set<size_t> ordinals;
-  for (storage::RecordId rid :
-       it->second.tree->Lookup({relational::Value::String(value)})) {
-    const size_t ordinal = RidOrdinal(rid);
-    if (!registry_[ordinal].deleted) ordinals.insert(ordinal);
-  }
-  return RunOver({ordinals.begin(), ordinals.end()}, query);
 }
 
 }  // namespace xbench::engines

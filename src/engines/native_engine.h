@@ -23,9 +23,9 @@
 namespace xbench::engines {
 
 /// Native XML store modelling X-Hive/DB: documents are stored intact (one
-/// heap record per document), queries are XQuery evaluated over the
-/// materialized trees, and secondary indexes map values, paths and word
-/// tokens to node-granular postings.
+/// heap record per document), every XQuery runs as a compiled plan over
+/// the materialized trees, and secondary indexes map values, paths and
+/// word tokens to node-granular postings.
 ///
 /// Cost model: answering a query materializes candidate documents from the
 /// page store (virtual I/O proportional to document bytes, like X-Hive's
@@ -50,9 +50,8 @@ namespace xbench::engines {
 /// may run from any number of sessions concurrently; mutations take it
 /// exclusive. The materialized-document cache has its own leaf mutex so
 /// parallel readers can fault documents in without serializing whole
-/// queries. Callers running concurrently must pass their own ExecStats to
-/// ExecutePlan*/— the last_plan_stats() convenience slot is only
-/// meaningful for single-threaded use.
+/// queries. Per-operator counters go only to the ExecStats a caller
+/// passes, so nothing is shared between concurrent statements.
 class NativeEngine : public XmlDbms {
  public:
   NativeEngine();
@@ -79,38 +78,21 @@ class NativeEngine : public XmlDbms {
   /// its index entries are erased.
   Status DeleteDocument(const std::string& name) override;
 
-  /// Evaluates `xquery` with $input bound to the roots of all documents
-  /// (collection scan).
+  /// Ad-hoc query text with $input bound to the collection: parses it,
+  /// compiles it unguided against the current index catalog (so the
+  /// planner may choose index probes and a document prefilter) and runs
+  /// the plan through ExecutePlan.
   Result<xquery::QueryResult> Query(std::string_view xquery);
 
-  /// Pre-parsed form: evaluates an AST directly. The workload runner
-  /// parses + schema-analyzes queries up front (annotating descendant
-  /// steps), so the timed region covers evaluation only.
-  Result<xquery::QueryResult> Query(const xquery::Expr& query);
-
-  /// Evaluates `xquery` with $input bound to the roots of only the
-  /// documents whose `index_name` entry equals `value` (index-assisted
-  /// scan). Falls back to a full collection scan when the index is absent
-  /// (the no-index baseline the paper also measures).
-  Result<xquery::QueryResult> QueryWithIndex(const std::string& index_name,
-                                             const std::string& value,
-                                             std::string_view xquery);
-
-  /// Pre-parsed form of QueryWithIndex.
-  Result<xquery::QueryResult> QueryWithIndex(const std::string& index_name,
-                                             const std::string& value,
-                                             const xquery::Expr& query);
-
-  /// Compiled form of Query(Expr): runs a physical plan over the whole
-  /// collection, giving its probe operators runtime access to this
-  /// engine's indexes. When the plan carries a document prefilter (its
-  /// single $input consumer is an index probe), only documents with
-  /// matching postings are materialized and bound. Guided plans are
-  /// rejected while the collection has not passed the guided-eval gate
-  /// (the plan cache key carries the guided flag, so a rejection here
-  /// means the caller compiled for the wrong gate state). Per-operator
-  /// counters land in `*stats` when given, otherwise in the shared
-  /// last_plan_stats() slot (single-threaded callers only).
+  /// Runs a physical plan over the whole collection, giving its probe
+  /// operators runtime access to this engine's indexes. When the plan
+  /// carries a document prefilter (its single $input consumer is an index
+  /// probe), only documents with matching postings are materialized and
+  /// bound. Guided plans are rejected while the collection has not passed
+  /// the guided-eval gate (the plan cache key carries the guided flag, so
+  /// a rejection here means the caller compiled for the wrong gate
+  /// state). Per-operator counters land in `*stats`; with it null none
+  /// are kept.
   Result<xquery::QueryResult> ExecutePlan(
       const xquery::plan::CompiledQuery& compiled,
       xquery::exec::ExecStats* stats = nullptr);
@@ -123,13 +105,6 @@ class NativeEngine : public XmlDbms {
       const xquery::plan::CompiledQuery& compiled,
       xquery::exec::ExecStats* stats) XBENCH_REQUIRES_SHARED(collection_mu_);
 
-  /// Compiled form of QueryWithIndex (the session-level index *hint*
-  /// path, distinct from planner-chosen probes).
-  Result<xquery::QueryResult> ExecutePlanWithIndex(
-      const std::string& index_name, const std::string& value,
-      const xquery::plan::CompiledQuery& compiled,
-      xquery::exec::ExecStats* stats = nullptr);
-
   /// Consistent copy of the planner-facing index catalog (statistics +
   /// epoch). Compilation snapshots this without the collection lock; the
   /// epoch in the snapshot keys the plan cache, so plans compiled against
@@ -141,12 +116,6 @@ class NativeEngine : public XmlDbms {
   /// guided-eval gate or the access-path choice — but ColdRestart does
   /// not: compiled statements survive a buffer-pool flush.
   xquery::plan::PlanCache& plan_cache() { return plan_cache_; }
-
-  /// Per-operator counters of the most recent ExecutePlan* call that did
-  /// not supply its own ExecStats. Not meaningful under concurrency.
-  const xquery::exec::ExecStats& last_plan_stats() const {
-    return last_plan_stats_;
-  }
 
   /// Live (non-deleted) documents.
   size_t document_count() const {
@@ -191,8 +160,10 @@ class NativeEngine : public XmlDbms {
   };
 
   /// Parses document `ordinal` out of the page store (I/O + parse cost),
-  /// caching it until the next cold restart. Thread-safe: racing
-  /// materializations of the same ordinal both parse, first insert wins.
+  /// ranks its arena with the ordinal (cross-document order follows the
+  /// collection) and caches it until the next cold restart. Thread-safe:
+  /// racing materializations of the same ordinal both parse, first insert
+  /// wins.
   Result<const xml::Document*> Materialize(size_t ordinal)
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
@@ -221,31 +192,12 @@ class NativeEngine : public XmlDbms {
       const xquery::plan::IndexProbe& probe)
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
-  Result<xquery::QueryResult> RunOver(const std::vector<size_t>& ordinals,
-                                      const xquery::Expr& query)
-      XBENCH_REQUIRES_SHARED(collection_mu_);
-
   Result<xquery::QueryResult> RunPlanOver(
       const std::vector<size_t>& ordinals,
       const xquery::plan::CompiledQuery& compiled,
       xquery::exec::ExecStats* stats) XBENCH_REQUIRES_SHARED(collection_mu_);
 
-  // Query bodies; the caller holds the collection lock shared. Public
-  // entry points wrap these so fallback paths (index absent -> full scan)
-  // never re-acquire the non-reentrant shared lock.
-  Result<xquery::QueryResult> QueryImpl(const xquery::Expr& query)
-      XBENCH_REQUIRES_SHARED(collection_mu_);
-  Result<xquery::QueryResult> QueryWithIndexImpl(const std::string& index_name,
-                                                 const std::string& value,
-                                                 const xquery::Expr& query)
-      XBENCH_REQUIRES_SHARED(collection_mu_);
-  Result<xquery::QueryResult> ExecutePlanWithIndexImpl(
-      const std::string& index_name, const std::string& value,
-      const xquery::plan::CompiledQuery& compiled,
-      xquery::exec::ExecStats* stats) XBENCH_REQUIRES_SHARED(collection_mu_);
-
-  /// Candidate ordinals for an index lookup (all live documents when the
-  /// index is absent); shared by the interpreted and compiled paths.
+  /// Ordinals of every live document (the unfiltered $input binding).
   std::vector<size_t> LiveOrdinals() const
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
@@ -299,9 +251,6 @@ class NativeEngine : public XmlDbms {
   /// statement.
   std::map<size_t, xml::Document> cache_ XBENCH_GUARDED_BY(cache_mu_);
   xquery::plan::PlanCache plan_cache_;
-  // Convenience slot for single-threaded callers; unsynchronized by
-  // documented contract (see last_plan_stats()).
-  xquery::exec::ExecStats last_plan_stats_;
 };
 
 /// Extracts the indexed values for `path` from a document tree. Path forms

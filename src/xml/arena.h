@@ -102,6 +102,15 @@ class Arena {
   /// Bytes of block storage held, adopted arenas included.
   size_t reserved_bytes() const;
 
+  /// Position of the stored document this arena holds within its
+  /// collection (the engine's ordinal). Document order across documents
+  /// compares ranks first, so it follows the collection rather than the
+  /// allocator; kNoRank (constructed trees, builder documents) falls back
+  /// to the root node's address.
+  static constexpr uint64_t kNoRank = UINT64_MAX;
+  uint64_t rank() const { return rank_; }
+  void set_rank(uint64_t rank) { rank_ = rank; }
+
  private:
   void NewBlock(size_t min_bytes);
   /// Doubles the open-addressing name index (at least 16 slots).
@@ -110,6 +119,7 @@ class Arena {
   char* cur_ = nullptr;
   char* end_ = nullptr;
   size_t next_block_bytes_;
+  uint64_t rank_ = kNoRank;
   struct Block {
     char* data;
     size_t size;

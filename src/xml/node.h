@@ -140,6 +140,12 @@ class Node {
 static_assert(std::is_trivially_destructible_v<Node>,
               "arena-owned nodes must not need destructors");
 
+/// Root of the tree containing `node` (identifies its document).
+inline const Node* TreeRoot(const Node* node) {
+  while (node->parent() != nullptr) node = node->parent();
+  return node;
+}
+
 /// An XML document: a name (file name in the benchmark collections) plus a
 /// single root element, all owned by the document's arena. Moving a
 /// Document moves the arena pointer, never the nodes, so node pointers

@@ -582,11 +582,6 @@ class EmptyOp final : public ItemOp {
   Result<Sequence> DoRun(ExecContext&) const override { return Sequence{}; }
 };
 
-const xml::Node* TreeRoot(const xml::Node* node) {
-  while (node->parent() != nullptr) node = node->parent();
-  return node;
-}
-
 /// Index probe: resolves postings through the execution's IndexProvider,
 /// maps them to the elements the replaced access path would have
 /// enumerated, validates each against the probed root set and structural
@@ -654,8 +649,8 @@ class IndexProbeOp final : public ItemOp {
       // preserves the variable's binding order without a document-order
       // sort — so the probe must too. Re-rank the hit roots by their
       // position in the roots sequence (this also dedups: each root
-      // appears once there). A cross-document pointer sort here would
-      // reorder collections whose load order differs from heap order.
+      // appears once there). A document-order sort here would reorder a
+      // binding that is not itself in document order.
       std::set<const xml::Node*> hits;
       for (const Item& item : candidates) hits.insert(item.node);
       Sequence ordered;
@@ -687,7 +682,7 @@ class IndexProbeOp final : public ItemOp {
       case ProbeContext::kRootDescendants:
         return candidate->name() == probe_.target_name &&
                candidate->parent() != nullptr &&
-               root_set.count(TreeRoot(candidate)) != 0;
+               root_set.count(xml::TreeRoot(candidate)) != 0;
     }
     return false;
   }
@@ -700,7 +695,7 @@ class IndexProbeOp final : public ItemOp {
                              const std::set<const xml::Node*>& root_set,
                              Sequence& out) const {
     if (probe_.context == ProbeContext::kRoots) {
-      const xml::Node* root = TreeRoot(posting);
+      const xml::Node* root = xml::TreeRoot(posting);
       if (root_set.count(root) != 0) out.push_back(Item::Node(root));
       return;
     }

@@ -2,6 +2,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "xquery/parser.h"
 #include "xquery/verify/verifier.h"
 
 namespace xbench::xquery::plan {
@@ -45,6 +46,14 @@ Result<std::shared_ptr<const CompiledQuery>> Compile(
       .GetCounter("xbench.plan.compiles")
       .Increment();
   return {std::shared_ptr<const CompiledQuery>(std::move(compiled))};
+}
+
+Result<std::shared_ptr<const CompiledQuery>> CompileText(
+    std::string_view text, const IndexCatalog* catalog) {
+  XBENCH_ASSIGN_OR_RETURN(ExprPtr ast, ParseQuery(text));
+  CompilationOptions options;
+  options.access_path.allow_guided = false;
+  return Compile(std::move(ast), /*notes=*/nullptr, options, catalog);
 }
 
 std::shared_ptr<const CompiledQuery> PlanCache::Lookup(

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -49,6 +50,14 @@ struct CompiledQuery {
 Result<std::shared_ptr<const CompiledQuery>> Compile(
     ExprPtr ast, const PlanAnnotations* notes,
     const CompilationOptions& options, const IndexCatalog* catalog = nullptr);
+
+/// Parses ad-hoc query text and compiles it unanalyzed, with guided walks
+/// disallowed: an unanalyzed AST carries no expansion chains, and a plan
+/// marked guided would be refused on any collection that has not passed
+/// the guided-eval gate. `catalog` (nullable) lets the planner choose
+/// index probes.
+Result<std::shared_ptr<const CompiledQuery>> CompileText(
+    std::string_view text, const IndexCatalog* catalog = nullptr);
 
 /// Cache key: (query id, database class, engine kind, guided flag,
 /// access-path mode + forced index, index-catalog epoch). The ints mirror workload::QueryId / workload::DbClass /

@@ -71,24 +71,23 @@ Result<bool> EffectiveBooleanValue(const Sequence& seq) {
 
 namespace {
 
-/// Root of the tree containing `node` (identifies the document).
-const xml::Node* TreeRoot(const xml::Node* node) {
-  while (node->parent() != nullptr) node = node->parent();
-  return node;
-}
-
+/// Documents order by their arena's rank (the collection ordinal of a
+/// stored document), then by root address for unranked trees.
 struct DocOrderKey {
+  uint64_t rank;
   const xml::Node* root;
   uint32_t order;
   int attr_index;
 };
 
 DocOrderKey KeyOf(const Item& item) {
-  return {TreeRoot(item.node), item.node->order(),
+  const xml::Node* root = xml::TreeRoot(item.node);
+  return {root->arena().rank(), root, item.node->order(),
           item.kind == Item::Kind::kAttribute ? item.attr_index : -1};
 }
 
 bool KeyLess(const DocOrderKey& a, const DocOrderKey& b) {
+  if (a.rank != b.rank) return a.rank < b.rank;
   if (a.root != b.root) return a.root < b.root;
   if (a.order != b.order) return a.order < b.order;
   return a.attr_index < b.attr_index;

@@ -7,7 +7,10 @@
 #include "engines/shredder.h"
 #include "datagen/article_generator.h"
 #include "workload/runner.h"
+#include "oracle.h"
 #include "xml/parser.h"
+#include "xquery/parser.h"
+#include "xquery/plan/cache.h"
 
 namespace xbench::engines {
 namespace {
@@ -46,17 +49,30 @@ TEST(NativeEngineTest, QueryOverCollection) {
   EXPECT_EQ(result->ToText(), std::to_string(db.documents.size()) + "\n");
 }
 
+/// `$input[@id = "<id>"]/@id`: a filter the planner can answer from an
+/// article/@id value index.
+std::string IdLookup(const std::string& id) {
+  return "$input[@id = \"" + id + "\"]/@id";
+}
+
 TEST(NativeEngineTest, IndexNarrowsCandidates) {
   NativeEngine engine;
-  auto db = SmallDb(DbClass::kTcMd);
+  // Large enough (30 documents) that the cost model prefers the probe.
+  auto db = SmallDb(DbClass::kTcMd, 256 * 1024);
   ASSERT_TRUE(engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
   ASSERT_TRUE(engine.CreateIndex({"article/@id", "article/@id"}).ok());
 
   const std::string target = datagen::ArticleId(3);
-  auto with_index = engine.QueryWithIndex("article/@id", target,
-                                          "for $a in $input return $a/@id");
-  ASSERT_TRUE(with_index.ok());
-  EXPECT_EQ(with_index->ToText(), target + "\n");
+  const xquery::plan::IndexCatalog catalog = engine.IndexCatalogSnapshot();
+  auto compiled = xquery::plan::CompileText(IdLookup(target), &catalog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ((*compiled)->logical.access_path_summary.rfind("IndexScan(", 0),
+            0u)
+      << (*compiled)->logical.access_path_summary;
+  EXPECT_NE((*compiled)->prefilter_probe, nullptr);
+  auto result = engine.Query(IdLookup(target));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->ToText(), target + "\n");
 }
 
 TEST(NativeEngineTest, IndexLookupChargesLessIoThanScan) {
@@ -64,14 +80,15 @@ TEST(NativeEngineTest, IndexLookupChargesLessIoThanScan) {
   auto db = SmallDb(DbClass::kTcMd, 256 * 1024);
   ASSERT_TRUE(engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
   ASSERT_TRUE(engine.CreateIndex({"article/@id", "article/@id"}).ok());
-  const std::string query = "for $a in $input return $a/@id";
-  const std::string target = datagen::ArticleId(3);
+  const std::string query = IdLookup(datagen::ArticleId(3));
 
   engine.ColdRestart();
   double io0 = engine.IoMillis();
-  ASSERT_TRUE(engine.QueryWithIndex("article/@id", target, query).ok());
+  ASSERT_TRUE(engine.Query(query).ok());
   const double indexed_io = engine.IoMillis() - io0;
 
+  // The same query without the index scans every document.
+  ASSERT_TRUE(engine.DropIndex("article/@id").ok());
   engine.ColdRestart();
   io0 = engine.IoMillis();
   ASSERT_TRUE(engine.Query(query).ok());
@@ -85,10 +102,47 @@ TEST(NativeEngineTest, MissingIndexFallsBackToScan) {
   NativeEngine engine;
   auto db = SmallDb(DbClass::kTcMd);
   ASSERT_TRUE(engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
-  auto result =
-      engine.QueryWithIndex("no-such-index", "x", "count($input)");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->ToText(), std::to_string(db.documents.size()) + "\n");
+  const std::string target = datagen::ArticleId(3);
+  const xquery::plan::IndexCatalog catalog = engine.IndexCatalogSnapshot();
+  auto compiled = xquery::plan::CompileText(IdLookup(target), &catalog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ((*compiled)->logical.access_path_summary, "full-scan");
+  auto result = engine.Query(IdLookup(target));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->ToText(), target + "\n");
+}
+
+TEST(NativeEngineTest, CrossDocumentOrderFollowsCollectionOrder) {
+  NativeEngine engine;
+  auto db = SmallDb(DbClass::kTcMd, 256 * 1024);
+  ASSERT_TRUE(engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
+  ASSERT_TRUE(engine.CreateIndex({"article/@id", "article/@id"}).ok());
+  const size_t n = db.documents.size();
+  ASSERT_GE(n, 2u);
+  std::string expected;
+  for (size_t i = 1; i <= n; ++i) expected += datagen::ArticleId(i) + "\n";
+
+  // Point probes from the last document to the first materialize the
+  // collection in reverse order, so the documents' addresses need not
+  // follow it.
+  engine.ColdRestart();
+  for (size_t i = n; i >= 1; --i) {
+    auto hit = engine.Query(IdLookup(datagen::ArticleId(i)));
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    ASSERT_EQ(hit->ToText(), datagen::ArticleId(i) + "\n");
+  }
+  auto flwor = engine.Query("for $a in $input return $a/@id");
+  ASSERT_TRUE(flwor.ok()) << flwor.status().ToString();
+  EXPECT_EQ(flwor->ToText(), expected);
+  auto path = engine.Query("$input/@id");
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_EQ(path->ToText(), expected);
+
+  auto ast = xquery::ParseQuery("$input/@id");
+  ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+  auto interpreted = oracle::Interpret(engine, **ast);
+  ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+  EXPECT_EQ(interpreted->ToText(), expected);
 }
 
 TEST(NativeEngineTest, ExtractIndexValues) {

@@ -14,6 +14,7 @@
 #include "engines/clob_engine.h"
 #include "engines/native_engine.h"
 #include "obs/metrics.h"
+#include "oracle.h"
 #include "workload/classes.h"
 #include "workload/queries.h"
 #include "workload/runner.h"
@@ -140,7 +141,7 @@ TEST_P(PlanDifferentialTest, CompiledPlanMatchesInterpreterByteForByte) {
 
   auto ast = workload::AnalyzeForClass(text, cls);
   ASSERT_TRUE(ast.ok()) << ast.status().ToString();
-  auto reference = engine.Query(**ast);
+  auto reference = oracle::Interpret(engine, **ast);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   const xquery::plan::IndexCatalog catalog = engine.IndexCatalogSnapshot();
@@ -160,15 +161,15 @@ TEST_P(PlanDifferentialTest, CompiledPlanMatchesInterpreterByteForByte) {
     options.access_path.mode = flavour.mode;
     auto compiled = CompileWith(text, cls, options, flavour.catalog);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    auto result = engine.ExecutePlan(**compiled);
+    xquery::exec::ExecStats stats;
+    auto result = engine.ExecutePlan(**compiled, &stats);
     ASSERT_TRUE(result.ok())
         << flavour.label << ": " << result.status().ToString();
     EXPECT_EQ(result->ToText(), reference->ToText())
         << QueryName(id) << " on " << datagen::DbClassName(cls) << " ("
         << flavour.label << ", access path "
         << (*compiled)->logical.access_path_summary << ")";
-    for (const xquery::exec::OperatorStats& op :
-         engine.last_plan_stats().operators) {
+    for (const xquery::exec::OperatorStats& op : stats.operators) {
       morsels += op.morsels;
     }
   }
@@ -410,9 +411,9 @@ TEST(PlanExecTest, OperatorStatsMirrorPlanLabels) {
       workload::XQueryFor(QueryId::kQ17, DbClass::kTcMd, setup.params);
   auto compiled = CompileFor(text, DbClass::kTcMd, /*guided=*/false);
   ASSERT_TRUE(compiled.ok());
-  auto result = setup.native().ExecutePlan(**compiled);
+  xquery::exec::ExecStats stats;
+  auto result = setup.native().ExecutePlan(**compiled, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const xquery::exec::ExecStats& stats = setup.native().last_plan_stats();
   ASSERT_EQ(stats.operators.size(), (*compiled)->physical.labels.size());
   ASSERT_FALSE(stats.operators.empty());
   ASSERT_EQ((*compiled)->physical.depths.size(),
@@ -463,9 +464,9 @@ TEST(PlanExecTest, SelfTimesTelescopeUnderProbeFallbacks) {
   ASSERT_NE((*compiled)->physical.ToString().find("IndexScan("),
             std::string::npos)
       << (*compiled)->physical.ToString();
-  auto result = fresh.ExecutePlan(**compiled);
+  xquery::exec::ExecStats stats;
+  auto result = fresh.ExecutePlan(**compiled, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const xquery::exec::ExecStats& stats = fresh.last_plan_stats();
   ASSERT_FALSE(stats.operators.empty());
   double self_sum = 0;
   for (const xquery::exec::OperatorStats& op : stats.operators) {
@@ -495,16 +496,16 @@ TEST(PlanExecTest, RegionsGoWideOnlyOnLargeInputs) {
       ADD_FAILURE() << QueryName(id) << " does not compile";
       return 0;
     }
-    auto reference = engine.Query(**ast);
-    auto result = engine.ExecutePlan(**compiled);
+    auto reference = oracle::Interpret(engine, **ast);
+    xquery::exec::ExecStats stats;
+    auto result = engine.ExecutePlan(**compiled, &stats);
     if (!reference.ok() || !result.ok()) {
       ADD_FAILURE() << QueryName(id) << " does not run";
       return 0;
     }
     EXPECT_EQ(result->ToText(), reference->ToText()) << QueryName(id);
     uint64_t morsels = 0;
-    for (const xquery::exec::OperatorStats& op :
-         engine.last_plan_stats().operators) {
+    for (const xquery::exec::OperatorStats& op : stats.operators) {
       EXPECT_GE(op.self_millis, 0.0);  // capped under concurrent children
       morsels += op.morsels;
     }
@@ -514,13 +515,14 @@ TEST(PlanExecTest, RegionsGoWideOnlyOnLargeInputs) {
   EXPECT_EQ(morsels_of(QueryId::kQ8, DbClass::kTcMd), 0u);
 }
 
-// --- Xcolumn AST cache ------------------------------------------------------
+// --- Xcolumn plan cache -----------------------------------------------------
 
 TEST(ClobAstCacheTest, QueryDocumentParsesEachQueryTextOnce) {
   auto& setup = PlanFixture::Get().ForClass(DbClass::kTcMd);
   engines::ClobEngine clob;
   ASSERT_TRUE(clob.BulkLoad(DbClass::kTcMd,
                             workload::ToLoadDocuments(setup.db)).ok());
+  ReaderLock lock(clob.collection_mu());
   const std::vector<std::string> names = clob.DocumentNames();
   ASSERT_GE(names.size(), 2u);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
@@ -528,6 +530,7 @@ TEST(ClobAstCacheTest, QueryDocumentParsesEachQueryTextOnce) {
       metrics.GetCounter("xbench.plan.ast_cache_hits").value();
   const uint64_t misses0 =
       metrics.GetCounter("xbench.plan.ast_cache_misses").value();
+  const uint64_t compiles0 = metrics.GetCounter("xbench.plan.compiles").value();
   const std::string query = "count($input//title)";
   ASSERT_TRUE(clob.QueryDocument(names[0], query).ok());
   EXPECT_EQ(metrics.GetCounter("xbench.plan.ast_cache_misses").value(),
@@ -537,6 +540,9 @@ TEST(ClobAstCacheTest, QueryDocumentParsesEachQueryTextOnce) {
             hits0 + 1);
   EXPECT_EQ(metrics.GetCounter("xbench.plan.ast_cache_misses").value(),
             misses0 + 1);
+  // The miss compiled the text into a plan; the hit reused it.
+  EXPECT_EQ(metrics.GetCounter("xbench.plan.compiles").value(),
+            compiles0 + 1);
 }
 
 }  // namespace

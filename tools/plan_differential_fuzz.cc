@@ -43,6 +43,7 @@
 #include "engines/native_engine.h"
 #include "engines/shred_engine.h"
 #include "engines/shredder.h"
+#include "oracle.h"
 #include "relational/table.h"
 #include "workload/runner.h"
 #include "xquery/plan/cache.h"
@@ -331,7 +332,7 @@ int main(int argc, char** argv) {
       Fail(text, "generator emitted a query the analyzer rejects",
            interp_q.status().ToString(), "");
     }
-    auto interp = native->Query(*interp_q->ast);
+    auto interp = xbench::oracle::Interpret(*native, *interp_q->ast);
 
     for (const ModeOption& mode : kModes) {
       if (mode.needs_guided && !guided) continue;
@@ -357,14 +358,15 @@ int main(int argc, char** argv) {
               std::string::npos) {
         ++probe_plans;
       }
-      auto plan_result = native->ExecutePlan(**compiled);
+      xbench::xquery::exec::ExecStats stats;
+      auto plan_result = native->ExecutePlan(**compiled, &stats);
       if (interp.ok() != plan_result.ok()) {
         Fail(text, std::string("interpreter vs ") + mode.label +
                        " plan status",
              interp.ok() ? "ok" : interp.status().ToString(),
              plan_result.ok() ? "ok" : plan_result.status().ToString());
       }
-      for (const auto& op : native->last_plan_stats().operators) {
+      for (const auto& op : stats.operators) {
         if (op.morsels > 0) {
           ++wide_plans;
           break;

@@ -28,6 +28,10 @@
 //                     once stale (N <= the current PR number, counted
 //                     from the `- PR` entries in CHANGES.md) — shims
 //                     cannot quietly outlive their grace window.
+//   5. one-query-path No call to `xquery::Evaluate(` or `EvaluateQuery(`
+//                     in src/ outside src/xquery/. Engines and the
+//                     workload run compiled plans only; the tree-walking
+//                     interpreter is the tests' differential oracle.
 //
 // Usage: xbench_lint [--repo-root <dir>]
 // Exit: 0 clean, 1 violations (one "file:line: rule: …" line each),
@@ -407,6 +411,32 @@ void CheckDeprecatedShims(const fs::path& root) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule 5: no interpreter entry point called from src/ outside src/xquery/.
+
+void CheckInterpreterCalls(const fs::path& root) {
+  for (const fs::path& path : SourceFiles(root, {"src"})) {
+    const std::string rel = Rel(root, path);
+    if (rel.rfind("src/xquery/", 0) == 0) continue;
+    const std::string code = StripCommentsAndStrings(ReadFile(path));
+    for (const char* token : {"xquery::Evaluate(", "EvaluateQuery("}) {
+      for (size_t pos = code.find(token); pos != std::string::npos;
+           pos = code.find(token, pos + 1)) {
+        // Skip a longer identifier ending in the token (`MyEvaluateQuery(`).
+        if (pos > 0 && (std::isalnum(static_cast<unsigned char>(
+                            code[pos - 1])) ||
+                        code[pos - 1] == '_')) {
+          continue;
+        }
+        Violation(rel, LineOf(code, pos), "one-query-path",
+                  std::string(token) +
+                      " outside src/xquery/; run a compiled plan "
+                      "(xquery::plan::CompileText + exec::Execute)");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -428,6 +458,7 @@ int main(int argc, char** argv) {
   CheckLockRankTable(root);
   CheckMetricNames(root);
   CheckDeprecatedShims(root);
+  CheckInterpreterCalls(root);
   if (g_violations > 0) {
     std::fprintf(stderr, "xbench_lint: %d violation(s)\n", g_violations);
     return 1;
