@@ -58,7 +58,7 @@ int main() {
                  result.status().ToString().c_str());
     return 1;
   }
-  std::printf("indexed lookup:\n%s", result->ToText().c_str());
+  std::printf("lookup by article id:\n%s", result->ToText().c_str());
 
   // 4. Run a collection-wide XQuery (no index).
   datagen::WordPool words;

@@ -7,6 +7,7 @@
 #include <set>
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/metrics.h"
 
 namespace xbench::analysis {
@@ -19,7 +20,7 @@ using xquery::ExprKind;
 using xquery::Step;
 
 /// Bounds on how far `//` resolution will enumerate before giving up and
-/// leaving the step unannotated (a full subtree scan stays correct).
+/// leaving the step unresolved (its cardinality then stays unknown).
 constexpr size_t kMaxChains = 64;
 constexpr size_t kMaxChainDepth = 24;
 
@@ -106,7 +107,7 @@ class Analyzer {
  public:
   explicit Analyzer(const SchemaContext& context) : ctx_(context) {}
 
-  AnalysisReport Run(Expr& query) {
+  AnalysisReport Run(const Expr& query) {
     scope_.emplace_back("input",
                         StaticType::Elements({ctx_.roots.begin(),
                                               ctx_.roots.end()}));
@@ -290,7 +291,7 @@ class Analyzer {
   /// Item type of a sequence-typed expression (for/quantifier binding).
   static StaticType ItemOf(const StaticType& type) { return type; }
 
-  StaticType AnalyzeExpr(Expr& e, const StaticType& focus) {
+  StaticType AnalyzeExpr(const Expr& e, const StaticType& focus) {
     switch (e.kind) {
       case ExprKind::kStringLiteral:
       case ExprKind::kNumberLiteral:
@@ -365,13 +366,13 @@ class Analyzer {
     return StaticType::Unknown();
   }
 
-  StaticType AnalyzeFlwor(Expr& e, const StaticType& focus) {
+  StaticType AnalyzeFlwor(const Expr& e, const StaticType& focus) {
     size_t fi = 0;
     size_t li = 0;
     size_t bound = 0;
     for (char kind : e.clause_order) {
       if (kind == 'f') {
-        xquery::ForClause& clause = e.for_clauses[fi++];
+        const xquery::ForClause& clause = e.for_clauses[fi++];
         StaticType input = AnalyzeExpr(*clause.input, focus);
         scope_.emplace_back(clause.variable, ItemOf(input));
         ++bound;
@@ -380,14 +381,16 @@ class Analyzer {
           ++bound;
         }
       } else {
-        xquery::LetClause& clause = e.let_clauses[li++];
+        const xquery::LetClause& clause = e.let_clauses[li++];
         StaticType value = AnalyzeExpr(*clause.value, focus);
         scope_.emplace_back(clause.variable, std::move(value));
         ++bound;
       }
     }
     if (e.where != nullptr) AnalyzeExpr(*e.where, focus);
-    for (xquery::OrderSpec& spec : e.order_by) AnalyzeExpr(*spec.key, focus);
+    for (const xquery::OrderSpec& spec : e.order_by) {
+      AnalyzeExpr(*spec.key, focus);
+    }
     StaticType result = AnalyzeExpr(*e.return_expr, focus);
     scope_.resize(scope_.size() - bound);
     return result;
@@ -396,7 +399,7 @@ class Analyzer {
   /// Predicates: each is analyzed with the candidate type as focus. A
   /// single `self::name` step narrows the type (the `$input[self::order]`
   /// idiom); a literal-number predicate caps cardinality at one.
-  StaticType AnalyzePredicates(std::vector<xquery::ExprPtr>& predicates,
+  StaticType AnalyzePredicates(const std::vector<xquery::ExprPtr>& predicates,
                                StaticType base) {
     for (auto& pred : predicates) {
       if (pred->kind == ExprKind::kPath && pred->path_root == nullptr &&
@@ -425,7 +428,7 @@ class Analyzer {
     std::vector<std::string> expansions;
   };
 
-  StaticType AnalyzePath(Expr& e, const StaticType& focus) {
+  StaticType AnalyzePath(const Expr& e, const StaticType& focus) {
     PathState state;
     size_t first_step = 0;
     if (e.path_root != nullptr) {
@@ -457,7 +460,7 @@ class Analyzer {
 
     const size_t errors_before = path_errors_;
     for (size_t i = first_step; i < e.steps.size(); ++i) {
-      Step& step = e.steps[i];
+      const Step& step = e.steps[i];
       // `//name`: a descendant-or-self::* step followed by a child step.
       if (step.axis == Axis::kDescendantOrSelf && step.name_test == "*" &&
           step.predicates.empty() && i + 1 < e.steps.size() &&
@@ -493,7 +496,7 @@ class Analyzer {
   }
 
   /// First child step of an absolute path: matches the root element.
-  void AnalyzeAbsoluteRootStep(Step& step, PathState& state) {
+  void AnalyzeAbsoluteRootStep(const Step& step, PathState& state) {
     state.rendered += "/" + step.name_test;
     if (step.name_test != "*" && state.type.is_elements()) {
       std::set<std::string> kept;
@@ -524,7 +527,7 @@ class Analyzer {
   }
 
   /// child/attribute/self/parent/sibling and explicit descendant axes.
-  void AnalyzeStep(Step& step, PathState& state) {
+  void AnalyzeStep(const Step& step, PathState& state) {
     const std::string& name = step.name_test;
     switch (step.axis) {
       case Axis::kChild:
@@ -685,7 +688,7 @@ class Analyzer {
       case Axis::kDescendantOrSelf: {
         AnalyzeDescendantTarget(name, /*include_self=*/step.axis ==
                                     Axis::kDescendantOrSelf,
-                                /*annotate=*/nullptr, state);
+                                /*resolve=*/false, state);
         break;
       }
     }
@@ -705,9 +708,9 @@ class Analyzer {
     return "is never a child of the context";
   }
 
-  /// The `//name` pair: reachability check, `Step::expansions` annotation,
-  /// cardinality from the enumerated chains.
-  void AnalyzeDescendantPair(Step& child_step, PathState& state) {
+  /// The `//name` pair: reachability check, the chains it resolves to (for
+  /// explain output), cardinality from the enumerated chains.
+  void AnalyzeDescendantPair(const Step& child_step, PathState& state) {
     state.rendered += "//" + child_step.name_test;
     if (!state.type.is_elements() || child_step.name_test == "*") {
       state.type = StaticType::Unknown();
@@ -716,12 +719,12 @@ class Analyzer {
       return;
     }
     AnalyzeDescendantTarget(child_step.name_test, /*include_self=*/false,
-                            &child_step, state);
+                            /*resolve=*/true, state);
     AnalyzePredicatesOnly(child_step, state);
   }
 
   void AnalyzeDescendantTarget(const std::string& name, bool include_self,
-                               Step* annotate, PathState& state) {
+                               bool resolve, PathState& state) {
     const std::set<std::string>& context = state.type.elements;
     std::set<std::string> closure = DescendantClosure(context);
     bool reachable = closure.count(name) != 0;
@@ -746,7 +749,7 @@ class Analyzer {
     // Chain enumeration: per context type, every simple label path the DTD
     // admits down to the target.
     bool exact = true;
-    std::vector<xquery::StepExpansion> expansions;
+    std::vector<std::string> rendered;
     bool bound_known = true;
     uint64_t bound = 0;
     for (const std::string& type : context) {
@@ -770,21 +773,13 @@ class Analyzer {
           }
           if (bound_known) bound = std::min<uint64_t>(bound + product, 2);
         }
-        expansions.push_back({type, std::move(chain)});
+        rendered.push_back(type + " -> " + Join(chain, "/"));
       }
     }
     if (exact) {
-      if (annotate != nullptr && !expansions.empty()) {
-        for (const xquery::StepExpansion& expansion : expansions) {
-          std::string rendered = expansion.context_type + " -> ";
-          for (size_t i = 0; i < expansion.labels.size(); ++i) {
-            if (i != 0) rendered += "/";
-            rendered += expansion.labels[i];
-          }
-          state.expansions.push_back(std::move(rendered));
-        }
-        annotate->expansions = std::move(expansions);
-        report_.annotations.step_expansions[annotate] = annotate->expansions;
+      if (resolve && !rendered.empty()) {
+        state.expansions.insert(state.expansions.end(), rendered.begin(),
+                                rendered.end());
         ++report_.resolved_steps;
       }
       if (include_self && context.count(name) != 0 && bound_known) {
@@ -800,7 +795,7 @@ class Analyzer {
     state.type = StaticType::Elements({name});
   }
 
-  void AnalyzePredicatesOnly(Step& step, PathState& state) {
+  void AnalyzePredicatesOnly(const Step& step, PathState& state) {
     StaticType narrowed =
         AnalyzePredicates(step.predicates, state.type);
     for (const auto& pred : step.predicates) {
@@ -889,12 +884,12 @@ std::string AnalysisReport::ToString() const {
   return out;
 }
 
-AnalysisReport Analyze(xquery::Expr& query, const SchemaContext& context) {
+AnalysisReport Analyze(const xquery::Expr& query, const SchemaContext& context) {
   Analyzer analyzer(context);
   return analyzer.Run(query);
 }
 
-Status AnalyzeQuery(xquery::Expr& query, const xml::Dtd& dtd,
+Status AnalyzeQuery(const xquery::Expr& query, const xml::Dtd& dtd,
                     const xml::SchemaSummary* summary,
                     const std::vector<std::string>& roots,
                     AnalysisReport* report_out) {

@@ -65,9 +65,8 @@ struct AnalysisReport {
   /// Number of descendant (`//`) steps resolved to concrete child chains.
   int resolved_steps = 0;
   /// Planner-facing annotations keyed by AST node identity (valid only
-  /// while the analyzed AST is alive). Same facts as the legacy
-  /// Step::expansions mutations + kAlwaysEmptyPath diagnostics, but
-  /// consumable off the AST by plan::BuildLogicalPlan.
+  /// while the analyzed AST is alive): the path cardinality classes behind
+  /// the kAlwaysEmptyPath diagnostics, consumed by plan::BuildLogicalPlan.
   xquery::plan::PlanAnnotations annotations;
 
   bool HasErrors() const;
@@ -88,17 +87,17 @@ struct SchemaContext {
 /// Type-checks `query` against `context`: walks every path expression
 /// through the DTD's element graph, flags steps that can never match,
 /// resolves `//` steps into the concrete label chains the DTD admits
-/// (annotating the AST via Step::expansions), and classifies path
+/// (reported in PathInfo::expansions), and classifies path
 /// cardinality from the schema summary. Non-path expressions are traversed
 /// so every embedded path (predicates, FLWOR clauses, constructors) is
 /// covered.
-AnalysisReport Analyze(xquery::Expr& query, const SchemaContext& context);
+AnalysisReport Analyze(const xquery::Expr& query, const SchemaContext& context);
 
 /// Status form threaded through the workload runner: Ok when no error
 /// diagnostics, InvalidArgument listing them otherwise. `summary` may be
 /// null. When `report_out` is non-null the full report is moved into it
 /// (the planner consumes `report_out->annotations`).
-Status AnalyzeQuery(xquery::Expr& query, const xml::Dtd& dtd,
+Status AnalyzeQuery(const xquery::Expr& query, const xml::Dtd& dtd,
                     const xml::SchemaSummary* summary,
                     const std::vector<std::string>& roots,
                     AnalysisReport* report_out = nullptr);

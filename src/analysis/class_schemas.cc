@@ -1,6 +1,5 @@
 #include "analysis/class_schemas.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -17,10 +16,8 @@ constexpr uint64_t kSampleBytes = 96 * 1024;
 constexpr uint64_t kSampleSeed = 42;
 
 std::unique_ptr<ClassSchema> BuildSchema(datagen::DbClass cls) {
-  datagen::GenConfig config;
-  config.target_bytes = kSampleBytes;
-  config.seed = kSampleSeed;
-  const datagen::GeneratedDatabase db = datagen::Generate(cls, config);
+  const datagen::GeneratedDatabase db =
+      datagen::Generate(cls, CanonicalSampleConfig());
 
   auto schema = std::make_unique<ClassSchema>();
   schema->seeds = db.seeds;
@@ -44,41 +41,6 @@ std::unique_ptr<ClassSchema> BuildSchema(datagen::DbClass cls) {
   return schema;
 }
 
-/// Does `decl`'s content model admit an element child named `child`?
-bool AdmitsChild(const xml::Dtd::ElementDecl& decl, const std::string& child) {
-  switch (decl.model) {
-    case xml::Dtd::Model::kSequence:
-      return std::any_of(decl.sequence.begin(), decl.sequence.end(),
-                         [&](const xml::Dtd::Particle& particle) {
-                           return particle.name == child;
-                         });
-    case xml::Dtd::Model::kMixed:
-      return decl.mixed.count(child) != 0;
-    case xml::Dtd::Model::kEmpty:
-    case xml::Dtd::Model::kPcdata:
-      return false;
-  }
-  return false;
-}
-
-Status ValidateElementEdges(const xml::Node& node, const xml::Dtd& dtd) {
-  const xml::Dtd::ElementDecl* decl = dtd.FindElement(node.name());
-  if (decl == nullptr) {
-    return Status::InvalidArgument("element '" + node.name() +
-                                   "' is not declared in the class schema");
-  }
-  for (const auto& child : node.children()) {
-    if (!child->is_element()) continue;
-    if (!AdmitsChild(*decl, child->name())) {
-      return Status::InvalidArgument("edge '" + node.name() + "' -> '" +
-                                     child->name() +
-                                     "' is not admitted by the class schema");
-    }
-    XBENCH_RETURN_IF_ERROR(ValidateElementEdges(*child, dtd));
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 datagen::GenConfig CanonicalSampleConfig() {
@@ -95,33 +57,6 @@ const ClassSchema& CanonicalClassSchema(datagen::DbClass cls) {
   const auto index = static_cast<size_t>(cls);
   std::call_once(flags[index], [&] { (*cache)[index] = BuildSchema(cls); });
   return *(*cache)[index];
-}
-
-Status ValidateForGuidedEval(const xml::Node& root,
-                             const ClassSchema& schema) {
-  if (std::find(schema.roots.begin(), schema.roots.end(), root.name()) ==
-      schema.roots.end()) {
-    return Status::InvalidArgument("document root '" + root.name() +
-                                   "' is not a root type of the class schema");
-  }
-  return ValidateElementEdges(root, schema.dtd);
-}
-
-Status ValidateDatabaseForGuidedEval(const datagen::GeneratedDatabase& db) {
-  const ClassSchema& schema = CanonicalClassSchema(db.db_class);
-  for (const datagen::GeneratedDocument& doc : db.documents) {
-    const xml::Node* root = doc.dom.root();
-    if (root == nullptr) {
-      return Status::InvalidArgument("document '" + doc.name +
-                                     "' has no root element");
-    }
-    Status status = ValidateForGuidedEval(*root, schema);
-    if (!status.ok()) {
-      return Status::InvalidArgument("document '" + doc.name +
-                                     "': " + status.message());
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace xbench::analysis

@@ -38,22 +38,6 @@ datagen::GenConfig CanonicalSampleConfig();
 /// Thread-safe: concurrent first calls build each class's schema once.
 const ClassSchema& CanonicalClassSchema(datagen::DbClass cls);
 
-/// Checks one document tree against `schema`'s element graph: the root is
-/// a known root type, every element is declared, and every parent→child
-/// element edge is admitted by the parent's content model. Returns the
-/// first violation. This is the (weaker-than-Dtd::Validate) conformance
-/// guided descendant evaluation needs: an edge present in the data but
-/// missing from the schema would make the guided walk drop matches, while
-/// occurrence-count deviations cannot.
-Status ValidateForGuidedEval(const xml::Node& root, const ClassSchema& schema);
-
-/// Validates every document of `db` against the canonical schema of its
-/// class (over the already-materialized DOMs — no re-parse). Benchmark
-/// databases are generated with user-configured size/seed, so a database
-/// may contain edges the fixed-sample schema never saw; callers must keep
-/// guided evaluation disabled unless this passes.
-Status ValidateDatabaseForGuidedEval(const datagen::GeneratedDatabase& db);
-
 }  // namespace xbench::analysis
 
 #endif  // XBENCH_ANALYSIS_CLASS_SCHEMAS_H_

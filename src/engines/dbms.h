@@ -26,10 +26,6 @@ struct LoadDocument {
 enum class IndexKind {
   /// B+-tree over the typed value of one path ("item/@id", "hw").
   kValue,
-  /// Structural index: qualified element path -> node postings. The
-  /// native engine maintains the structure unconditionally; the DDL form
-  /// only names it so it shows in ListIndexes.
-  kPath,
   /// Inverted text index: word token -> element postings (serves
   /// contains-word probes on TC classes).
   kText,
@@ -39,7 +35,7 @@ const char* IndexKindName(IndexKind kind);
 
 /// An index request. For kValue, `path` is an element/attribute path in
 /// the abbreviated form the paper's Table 3 uses ("item/@id", "hw",
-/// "date_of_release"); kPath/kText ignore it.
+/// "date_of_release"); kText ignores it.
 struct IndexSpec {
   std::string name;
   std::string path;
@@ -96,7 +92,7 @@ class XmlDbms {
 
   /// Creates an index (after loading, as in §3.1). Engines return
   /// kUnsupported for kinds they cannot host (only the native engine
-  /// serves kPath/kText).
+  /// serves kText).
   virtual Status CreateIndex(const IndexSpec& spec) = 0;
 
   /// Drops an index by name. Default: kUnsupported (relational engines

@@ -80,7 +80,7 @@ NativeEngine::NativeEngine() {
 }
 
 void NativeEngine::IndexDocument(size_t ordinal, const xml::Node& root) {
-  path_index_.AddDocument(ordinal, root);
+  path_index_.AddDocument(root);
   if (text_index_ != nullptr) text_index_->AddDocument(ordinal, root);
   for (auto& [name, index] : value_indexes_) {
     for (auto& [value, order] :
@@ -99,10 +99,6 @@ Status NativeEngine::BulkLoad(datagen::DbClass db_class,
   obs::Counter& docs_loaded =
       obs::MetricsRegistry::Default().GetCounter("xbench.engine.docs_loaded");
   db_class_ = db_class;
-  // The collection is changing; any earlier conformance proof no longer
-  // covers it. workload::BulkLoad re-enables after re-validating. Compiled
-  // plans froze access paths under the old gate state, so they go too.
-  set_guided_eval_enabled(false);
   plan_cache_.Invalidate();
   for (const LoadDocument& doc : docs) {
     obs::ScopedSpan doc_span("load.doc");
@@ -114,7 +110,12 @@ Status NativeEngine::BulkLoad(datagen::DbClass db_class,
       // re-materializing trees on demand.
       obs::ScopedSpan parse_span("parse");
       auto parsed = xml::Parse(doc.text, doc.name);
-      if (!parsed.ok()) return parsed.status();
+      if (!parsed.ok()) {
+        // The documents before this one stay loaded; keep the guide and
+        // the catalog covering them.
+        RefreshCatalogLocked();
+        return parsed.status();
+      }
       obs::ScopedSpan index_span("index");
       IndexDocument(ordinal, *parsed->root());
     }
@@ -140,11 +141,6 @@ Status NativeEngine::BulkLoad(datagen::DbClass db_class,
 
 Status NativeEngine::InsertDocument(const LoadDocument& doc) {
   WriterLock lock(collection_mu_);
-  // The inserted document was not part of the validated bulk load, so the
-  // collection may no longer conform to the schema the analyzer resolved
-  // expansions from; fall back to (always-correct) full subtree scans and
-  // drop plans compiled for the guided collection.
-  set_guided_eval_enabled(false);
   plan_cache_.Invalidate();
   disk_->clock().AdvanceMicros(kPerDocumentIngestMicros);
   auto parsed = xml::Parse(doc.text, doc.name);
@@ -166,7 +162,7 @@ Status NativeEngine::DeleteDocument(const std::string& name) {
     // Erase index entries (including the always-on structural index)
     // before dropping the document.
     XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc, Materialize(ordinal));
-    path_index_.RemoveDocument(ordinal, *doc->root());
+    path_index_.RemoveDocument(*doc->root());
     if (text_index_ != nullptr) text_index_->RemoveDocument(ordinal);
     for (auto& [index_name, index] : value_indexes_) {
       for (const auto& [value, order] :
@@ -190,8 +186,7 @@ Status NativeEngine::DeleteDocument(const std::string& name) {
 
 bool NativeEngine::IndexNameTaken(const std::string& name) const {
   return value_indexes_.count(name) != 0 ||
-         (!text_index_name_.empty() && text_index_name_ == name) ||
-         (!path_index_name_.empty() && path_index_name_ == name);
+         (!text_index_name_.empty() && text_index_name_ == name);
 }
 
 Status NativeEngine::CreateIndex(const IndexSpec& spec) {
@@ -235,16 +230,6 @@ Status NativeEngine::CreateIndex(const IndexSpec& spec) {
       text_index_name_ = spec.name;
       break;
     }
-    case IndexKind::kPath: {
-      // The structural index is maintained unconditionally; DDL only
-      // names it (making it visible to ListIndexes and forcible by name).
-      if (!path_index_name_.empty()) {
-        return Status::AlreadyExists("path index '" + path_index_name_ +
-                                     "' (one per collection)");
-      }
-      path_index_name_ = spec.name;
-      break;
-    }
   }
   index_order_.push_back(spec.name);
   // The access-path choice space changed; cached plans were costed
@@ -253,8 +238,13 @@ Status NativeEngine::CreateIndex(const IndexSpec& spec) {
   RefreshCatalogLocked();
   // Index building materialized every document; drop that warmth. The
   // collection lock is already held exclusively, so call the locked body
-  // directly (ColdRestart() would self-deadlock).
+  // directly (ColdRestart() would self-deadlock). The documents go too,
+  // not into the spares: no statement asked for them, and spares for a
+  // whole collection would hold its memory through whatever the caller
+  // loads next.
   ColdRestartLocked();
+  MutexLock cache_lock(cache_mu_);
+  spare_docs_.clear();
   return Status::Ok();
 }
 
@@ -265,9 +255,6 @@ Status NativeEngine::DropIndex(const std::string& name) {
   } else if (!text_index_name_.empty() && text_index_name_ == name) {
     text_index_.reset();
     text_index_name_.clear();
-  } else if (!path_index_name_.empty() && path_index_name_ == name) {
-    // Unregister the name; the structural statistics keep running.
-    path_index_name_.clear();
   } else {
     return Status::NotFound("index '" + name + "'");
   }
@@ -293,9 +280,6 @@ std::vector<IndexInfo> NativeEngine::ListIndexes() const {
     } else if (text_index_name_ == name && text_index_ != nullptr) {
       info.kind = IndexKind::kText;
       info.entries = text_index_->entries();
-    } else if (path_index_name_ == name) {
-      info.kind = IndexKind::kPath;
-      info.entries = path_index_.entries();
     }
     infos.push_back(std::move(info));
   }
@@ -303,7 +287,9 @@ std::vector<IndexInfo> NativeEngine::ListIndexes() const {
 }
 
 void NativeEngine::RefreshCatalogLocked() {
+  path_index_.RefreshGuide();
   xquery::plan::IndexCatalog catalog;
+  catalog.collection.guide = path_index_.guide();
   catalog.collection.documents = path_index_.documents();
   catalog.collection.total_elements = path_index_.total_elements();
   catalog.collection.elements_by_name = path_index_.elements_by_name();
@@ -342,14 +328,6 @@ void NativeEngine::RefreshCatalogLocked() {
     stats.distinct_keys = text_index_->distinct_words();
     catalog.indexes.push_back(std::move(stats));
   }
-  if (!path_index_name_.empty()) {
-    xquery::plan::IndexStats stats;
-    stats.name = path_index_name_;
-    stats.kind = xquery::plan::IndexKind::kPath;
-    stats.entries = path_index_.entries();
-    stats.distinct_keys = path_index_.distinct_paths();
-    catalog.indexes.push_back(std::move(stats));
-  }
   MutexLock lock(index_mu_);
   catalog.epoch = catalog_.epoch + 1;
   catalog_ = std::move(catalog);
@@ -363,14 +341,20 @@ xquery::plan::IndexCatalog NativeEngine::IndexCatalogSnapshot() const {
 void NativeEngine::ColdRestartLocked() {
   XmlDbms::ColdRestartLocked();
   MutexLock cache_lock(cache_mu_);
+  for (auto& [ordinal, doc] : cache_) spare_docs_.push_back(std::move(doc));
   cache_.clear();
 }
 
 Result<const xml::Document*> NativeEngine::Materialize(size_t ordinal) {
+  xml::Document spare;
   {
     MutexLock cache_lock(cache_mu_);
     auto it = cache_.find(ordinal);
     if (it != cache_.end()) return &it->second;
+    if (!spare_docs_.empty()) {
+      spare = std::move(spare_docs_.back());
+      spare_docs_.pop_back();
+    }
   }
   obs::ScopedSpan span("native.materialize");
   static obs::Counter& materialized = obs::MetricsRegistry::Default().GetCounter(
@@ -378,7 +362,7 @@ Result<const xml::Document*> NativeEngine::Materialize(size_t ordinal) {
   materialized.Increment();
   const DocEntry& entry = registry_[ordinal];
   const std::string text = file_->Read(entry.record);
-  auto parsed = xml::Parse(text, entry.name);
+  auto parsed = xml::Parse(text, entry.name, {}, std::move(spare));
   if (!parsed.ok()) return parsed.status();
   parsed->root()->arena().set_rank(ordinal);
   // Racing materializations of the same ordinal both reach here; the
@@ -533,11 +517,6 @@ Result<xquery::QueryResult> NativeEngine::RunPlanOver(
     const std::vector<size_t>& ordinals,
     const xquery::plan::CompiledQuery& compiled,
     xquery::exec::ExecStats* stats) {
-  if (compiled.guided && !guided_eval_enabled()) {
-    return Status::InvalidArgument(
-        "guided plan on an unvalidated collection: the plan was compiled "
-        "for a collection that passed the guided-eval gate");
-  }
   xquery::Sequence input;
   input.reserve(ordinals.size());
   for (size_t ordinal : ordinals) {
@@ -546,8 +525,15 @@ Result<xquery::QueryResult> NativeEngine::RunPlanOver(
   }
   xquery::Bindings bindings;
   bindings["input"] = std::move(input);
+  // The guide is rebuilt only under the exclusive collection lock, so it
+  // stays the one for exactly these documents while this statement (and
+  // every morsel lane it starts) reads it under the shared lock. A
+  // kForceScan plan gets none, so its interpreter leaves scan too.
   xquery::EvalOptions options;
-  options.use_step_expansions = guided_eval_enabled();
+  if (compiled.options.access_path.mode !=
+      xquery::plan::AccessPathMode::kForceScan) {
+    options.guide = path_index_.guide().get();
+  }
   PlanIndexProvider indexes(*this);
   return xquery::exec::Execute(compiled.physical, bindings, options, stats,
                                &indexes);

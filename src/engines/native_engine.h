@@ -37,7 +37,8 @@ namespace xbench::engines {
 ///
 /// Index structures (DESIGN.md §13):
 ///  - a structural PathIndex is maintained unconditionally; it doubles as
-///    the statistics store feeding the planner catalog mirror,
+///    the statistics store feeding the planner catalog mirror, and its
+///    path guide steers guided `//name` walks,
 ///  - kValue DDL builds a B+-tree over one Table-3 path with
 ///    (ordinal, pre-order) postings,
 ///  - kText DDL builds one inverted word index over element text.
@@ -63,8 +64,7 @@ class NativeEngine : public XmlDbms {
 
   /// kValue: B+-tree over `spec.path` ("order/@id", "hw", ...) with
   /// node-granular postings. kText: inverted word index over element
-  /// text. kPath: registers the always-on structural index under
-  /// `spec.name` so it appears in ListIndexes and can be forced by name.
+  /// text.
   Status CreateIndex(const IndexSpec& spec) override;
 
   Status DropIndex(const std::string& name) override;
@@ -85,14 +85,11 @@ class NativeEngine : public XmlDbms {
   Result<xquery::QueryResult> Query(std::string_view xquery);
 
   /// Runs a physical plan over the whole collection, giving its probe
-  /// operators runtime access to this engine's indexes. When the plan
-  /// carries a document prefilter (its single $input consumer is an index
-  /// probe), only documents with matching postings are materialized and
-  /// bound. Guided plans are rejected while the collection has not passed
-  /// the guided-eval gate (the plan cache key carries the guided flag, so
-  /// a rejection here means the caller compiled for the wrong gate
-  /// state). Per-operator counters land in `*stats`; with it null none
-  /// are kept.
+  /// operators runtime access to this engine's indexes and guided walks
+  /// the collection's current path guide. When the plan carries a document
+  /// prefilter (its single $input consumer is an index probe), only
+  /// documents with matching postings are materialized and bound.
+  /// Per-operator counters land in `*stats`; with it null none are kept.
   Result<xquery::QueryResult> ExecutePlan(
       const xquery::plan::CompiledQuery& compiled,
       xquery::exec::ExecStats* stats = nullptr);
@@ -112,9 +109,9 @@ class NativeEngine : public XmlDbms {
   xquery::plan::IndexCatalog IndexCatalogSnapshot() const;
 
   /// This engine's compiled-plan cache (the DBMS statement cache). Document
-  /// mutations and index DDL invalidate it — the data change can flip the
-  /// guided-eval gate or the access-path choice — but ColdRestart does
-  /// not: compiled statements survive a buffer-pool flush.
+  /// mutations and index DDL invalidate it — the change can shift the
+  /// access-path choice — but ColdRestart does not: compiled statements
+  /// survive a buffer-pool flush.
   xquery::plan::PlanCache& plan_cache() { return plan_cache_; }
 
   /// Live (non-deleted) documents.
@@ -122,20 +119,6 @@ class NativeEngine : public XmlDbms {
     return live_count_.load(std::memory_order_relaxed);
   }
   uint64_t stored_bytes() const { return file_->size_bytes(); }
-
-  /// Whether queries may follow analyzer-resolved `Step::expansions`
-  /// (guided descendant evaluation). Off by default: the expansions are
-  /// derived from the canonical class schema, and walking them is only
-  /// sound over a collection validated against that schema. The workload
-  /// bulk-load path enables this after
-  /// analysis::ValidateDatabaseForGuidedEval passes; inserting a document
-  /// turns it back off (the collection may no longer conform).
-  bool guided_eval_enabled() const {
-    return guided_eval_enabled_.load(std::memory_order_acquire);
-  }
-  void set_guided_eval_enabled(bool enabled) {
-    guided_eval_enabled_.store(enabled, std::memory_order_release);
-  }
 
  protected:
   void ColdRestartLocked() override XBENCH_REQUIRES(collection_mu_);
@@ -159,11 +142,11 @@ class NativeEngine : public XmlDbms {
     bool single_valued = true;
   };
 
-  /// Parses document `ordinal` out of the page store (I/O + parse cost),
-  /// ranks its arena with the ordinal (cross-document order follows the
-  /// collection) and caches it until the next cold restart. Thread-safe:
-  /// racing materializations of the same ordinal both parse, first insert
-  /// wins.
+  /// Parses document `ordinal` out of the page store (I/O + parse cost)
+  /// into a spare document's arena when there is one, ranks the arena with
+  /// the ordinal (cross-document order follows the collection) and caches
+  /// the document until the next cold restart. Thread-safe: racing
+  /// materializations of the same ordinal both parse, first insert wins.
   Result<const xml::Document*> Materialize(size_t ordinal)
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
@@ -201,8 +184,7 @@ class NativeEngine : public XmlDbms {
   std::vector<size_t> LiveOrdinals() const
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
-  /// Whether any index (value, text, or the registered path name) already
-  /// claims `name`.
+  /// Whether any value or text index already claims `name`.
   bool IndexNameTaken(const std::string& name) const
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
@@ -210,9 +192,10 @@ class NativeEngine : public XmlDbms {
   void IndexDocument(size_t ordinal, const xml::Node& root)
       XBENCH_REQUIRES(collection_mu_);
 
-  /// Rebuilds the planner-facing catalog mirror from the live index
-  /// structures and bumps its epoch. Call after any mutation or DDL,
-  /// while still holding the collection lock exclusively.
+  /// Rebuilds the path guide if the path set changed, then the
+  /// planner-facing catalog mirror from the live index structures, and
+  /// bumps its epoch. Call after any mutation or DDL, while still holding
+  /// the collection lock exclusively.
   void RefreshCatalogLocked() XBENCH_REQUIRES(collection_mu_);
 
   // file_ itself is set once in the constructor; record-level access is
@@ -220,7 +203,6 @@ class NativeEngine : public XmlDbms {
   std::unique_ptr<storage::HeapFile> file_;
   std::vector<DocEntry> registry_ XBENCH_GUARDED_BY(collection_mu_);
   std::atomic<size_t> live_count_{0};
-  std::atomic<bool> guided_eval_enabled_{false};
   datagen::DbClass db_class_ XBENCH_GUARDED_BY(collection_mu_) =
       datagen::DbClass::kTcSd;
 
@@ -230,10 +212,8 @@ class NativeEngine : public XmlDbms {
       XBENCH_GUARDED_BY(collection_mu_);
   std::unique_ptr<TextIndex> text_index_ XBENCH_GUARDED_BY(collection_mu_);
   std::string text_index_name_ XBENCH_GUARDED_BY(collection_mu_);
-  /// Always maintained (statistics source); `path_index_name_` is empty
-  /// until kPath DDL registers it.
+  /// Always maintained (statistics source and path guide).
   PathIndex path_index_ XBENCH_GUARDED_BY(collection_mu_);
-  std::string path_index_name_ XBENCH_GUARDED_BY(collection_mu_);
   /// DDL creation order, for ListIndexes.
   std::vector<std::string> index_order_ XBENCH_GUARDED_BY(collection_mu_);
 
@@ -250,6 +230,11 @@ class NativeEngine : public XmlDbms {
   /// collection lock shared, so pointers into it stay valid for a
   /// statement.
   std::map<size_t, xml::Document> cache_ XBENCH_GUARDED_BY(cache_mu_);
+  /// Documents a cold restart dropped from the cache. Their arenas keep
+  /// their blocks for the next materializations, so a re-parse reuses
+  /// memory this process already touched instead of faulting in pages
+  /// the allocator may have returned to the system.
+  std::vector<xml::Document> spare_docs_ XBENCH_GUARDED_BY(cache_mu_);
   xquery::plan::PlanCache plan_cache_;
 };
 

@@ -51,50 +51,45 @@ void WalkElements(const xml::Node& node, std::string& path, const Fn& fn) {
 
 }  // namespace
 
-void PathIndex::AddDocument(size_t ordinal, const xml::Node& root) {
+void PathIndex::AddDocument(const xml::Node& root) {
   std::string path;
   WalkElements(root, path, [&](const xml::Node& node, const std::string& p) {
-    postings_[p].push_back(Posting{
-        ordinal, node.order(), static_cast<uint32_t>(node.SubtreeSize())});
-    ++element_counts_[std::string(node.name())];
+    if (++path_counts_[p] == 1) paths_changed_ = true;
+    ++element_counts_[node.name()];
     ++total_elements_;
   });
-  if (root.is_element()) ++root_counts_[std::string(root.name())];
+  if (root.is_element()) ++root_counts_[root.name()];
   ++documents_;
 }
 
-void PathIndex::RemoveDocument(size_t ordinal, const xml::Node& root) {
-  std::set<std::string> touched;
+void PathIndex::RemoveDocument(const xml::Node& root) {
   std::string path;
   WalkElements(root, path, [&](const xml::Node& node, const std::string& p) {
-    touched.insert(p);
-    auto it = element_counts_.find(std::string(node.name()));
+    auto path_it = path_counts_.find(p);
+    if (path_it != path_counts_.end() && --path_it->second == 0) {
+      path_counts_.erase(path_it);
+      paths_changed_ = true;
+    }
+    auto it = element_counts_.find(node.name());
     if (it != element_counts_.end() && --it->second == 0) {
       element_counts_.erase(it);
     }
     --total_elements_;
   });
-  for (const std::string& p : touched) {
-    auto it = postings_.find(p);
-    if (it == postings_.end()) continue;
-    auto& vec = it->second;
-    vec.erase(std::remove_if(
-                  vec.begin(), vec.end(),
-                  [&](const Posting& post) { return post.ordinal == ordinal; }),
-              vec.end());
-    if (vec.empty()) postings_.erase(it);
-  }
   if (root.is_element()) {
-    auto it = root_counts_.find(std::string(root.name()));
+    auto it = root_counts_.find(root.name());
     if (it != root_counts_.end() && --it->second == 0) root_counts_.erase(it);
   }
   if (documents_ > 0) --documents_;
 }
 
-const std::vector<PathIndex::Posting>* PathIndex::Lookup(
-    const std::string& path) const {
-  auto it = postings_.find(path);
-  return it == postings_.end() ? nullptr : &it->second;
+void PathIndex::RefreshGuide() {
+  if (!paths_changed_) return;
+  std::vector<std::string> paths;
+  paths.reserve(path_counts_.size());
+  for (const auto& [path, count] : path_counts_) paths.push_back(path);
+  guide_ = std::make_shared<const xquery::PathGuide>(paths);
+  paths_changed_ = false;
 }
 
 std::vector<std::string> PathIndex::root_names() const {

@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "xml/node.h"
+#include "xquery/path_guide.h"
 
 namespace xbench::engines {
 
@@ -24,41 +26,35 @@ inline uint32_t RidOrder(uint64_t rid) {
   return static_cast<uint32_t>(rid & 0xffffffffu);
 }
 
-/// Structural index: qualified element path ("catalog/item/name") ->
-/// postings, plus the per-collection statistics the cost model reads
-/// (document count, element counts by tag, root tags). The native engine
-/// maintains one unconditionally — it doubles as the statistics store —
-/// and registers it in ListIndexes only when DDL names it.
+/// Structural index: the number of stored elements at each distinct
+/// qualified path ("catalog/item/name"), plus the per-collection
+/// statistics the cost model reads (document count, element counts by tag,
+/// root tags). The set of paths is the collection's DataGuide; the index
+/// keeps one immutable xquery::PathGuide built from it, which guided walks
+/// read at run time. The native engine maintains one unconditionally.
 ///
 /// Thread safety: none; the owner serializes access (the native engine
-/// mutates it under the exclusive collection lock and reads it while
-/// refreshing the planner catalog mirror).
+/// mutates it and rebuilds the guide under the exclusive collection lock,
+/// and hands the guide to statements under the shared lock).
 class PathIndex {
  public:
-  struct Posting {
-    size_t ordinal = 0;
-    uint32_t order = 0;
-    /// Nodes in the posted element's subtree (element + descendants of
-    /// all kinds) — lets structural probes pre-size result buffers.
-    uint32_t subtree = 0;
-  };
+  /// Counts every element of `root` under its qualified path.
+  void AddDocument(const xml::Node& root);
 
-  /// Indexes every element of `root` under its qualified path. `root`
-  /// must already have pre-order numbers assigned.
-  void AddDocument(size_t ordinal, const xml::Node& root);
+  /// Uncounts every element of `root`; a path whose count drops to zero
+  /// leaves the path set.
+  void RemoveDocument(const xml::Node& root);
 
-  /// Removes every posting of `ordinal`; `root` re-walks the same tree to
-  /// decrement the per-tag statistics.
-  void RemoveDocument(size_t ordinal, const xml::Node& root);
+  /// Rebuilds the guide when the path set changed since the last call.
+  void RefreshGuide();
 
-  /// Postings for one qualified path, document order within each
-  /// document; nullptr when no element has that path.
-  const std::vector<Posting>* Lookup(const std::string& path) const;
+  /// The guide as of the last RefreshGuide; never null.
+  const std::shared_ptr<const xquery::PathGuide>& guide() const {
+    return guide_;
+  }
 
   uint64_t documents() const { return documents_; }
   uint64_t total_elements() const { return total_elements_; }
-  uint64_t distinct_paths() const { return postings_.size(); }
-  uint64_t entries() const { return total_elements_; }
   const std::map<std::string, uint64_t>& elements_by_name() const {
     return element_counts_;
   }
@@ -66,7 +62,10 @@ class PathIndex {
   std::vector<std::string> root_names() const;
 
  private:
-  std::map<std::string, std::vector<Posting>> postings_;
+  std::map<std::string, uint64_t> path_counts_;
+  bool paths_changed_ = false;
+  std::shared_ptr<const xquery::PathGuide> guide_ =
+      std::make_shared<const xquery::PathGuide>();
   std::map<std::string, uint64_t> element_counts_;
   std::map<std::string, uint64_t> root_counts_;
   uint64_t documents_ = 0;

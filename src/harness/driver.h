@@ -60,8 +60,8 @@ class Driver {
     /// times in the plan section.
     bool profile = false;
     /// Access-path policy for every query run (native compiled path).
-    /// The default kAuto lets the cost model choose among guided walks,
-    /// full scans, and index probes; the chosen path lands in each
+    /// The default kAuto lets the cost model choose between guided walks
+    /// and index probes; the chosen path lands in each
     /// query's plan section as "access_path".
     xquery::plan::AccessPathPolicy access_path;
   };

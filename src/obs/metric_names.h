@@ -19,8 +19,6 @@ namespace xbench::obs::metric_names {
 // Static query analysis (DESIGN.md §7).
 inline constexpr char kAnalysisDiagPrefix[] = "xbench.analysis.diag.";
 inline constexpr char kAnalysisErrors[] = "xbench.analysis.errors";
-inline constexpr char kAnalysisGuidedEvalDisabled[] =
-    "xbench.analysis.guided_eval_disabled";
 inline constexpr char kAnalysisQueries[] = "xbench.analysis.queries";
 inline constexpr char kAnalysisStepsResolved[] =
     "xbench.analysis.steps_resolved";

@@ -7,9 +7,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/thread_io.h"
-#include "engines/native_engine.h"
 #include "engines/registry.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "workload/classes.h"
 #include "workload/session.h"
@@ -109,21 +107,6 @@ TimedStatus BulkLoad(engines::XmlDbms& engine,
   timed.cpu_millis = watch.ElapsedMillis();
   timed.io_millis = ThreadIoMillis() - io_millis_before;
   timed.io = IoStatsDelta(io_before, ThreadIoSnapshot());
-  if (timed.status.ok() && engine.kind() == EngineKind::kNative) {
-    // Guided descendant evaluation (Step::expansions) is sound only when
-    // the loaded collection conforms to the canonical schema the analyzer
-    // resolved the chains from. Benchmark databases are generated with
-    // user-configured size/seed, so conformance is checked per load — over
-    // the already-materialized DOMs, outside the timed region.
-    const Status conforms = analysis::ValidateDatabaseForGuidedEval(db);
-    if (!conforms.ok()) {
-      obs::MetricsRegistry::Default()
-          .GetCounter("xbench.analysis.guided_eval_disabled")
-          .Increment();
-    }
-    static_cast<engines::NativeEngine&>(engine).set_guided_eval_enabled(
-        conforms.ok());
-  }
   return timed;
 }
 

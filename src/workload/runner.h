@@ -75,11 +75,6 @@ struct OpOutcome {
 using TimedStatus = OpOutcome;
 
 /// Bulk-loads `db` into `engine` (timed) — the Table 4 measurement.
-/// For the native engine it additionally validates the loaded collection
-/// against the canonical class schema (outside the timed region) and
-/// enables guided descendant evaluation only when validation passes, so
-/// analyzer-resolved `//` chains can never drop matches on a database
-/// whose edges the fixed-sample schema missed.
 TimedStatus BulkLoad(engines::XmlDbms& engine,
                      const datagen::GeneratedDatabase& db);
 
@@ -102,12 +97,9 @@ struct RunOptions {
   bool profile = false;
   /// Structured compilation options for the native compiled path:
   /// access-path policy (auto / force-guided / force-scan /
-  /// force-index) and cost-model knobs. The session clamps the policy
-  /// against the engine's guided-eval gate before compiling — forcing
-  /// guided on an unvalidated collection degrades to full scans rather
-  /// than risk a wrong answer — and the plan cache keys on the policy +
-  /// catalog epoch, so differently-optioned plans coexist in the
-  /// statement cache.
+  /// force-index) and cost-model knobs. The plan cache keys on the mode +
+  /// catalog epoch, so differently-optioned plans coexist in the statement
+  /// cache.
   xquery::plan::CompilationOptions compile;
 };
 
@@ -148,8 +140,8 @@ struct ExecutionResult : OpOutcome {
 };
 
 /// Parses `xquery` and type-checks it against the canonical schema of
-/// `db_class` (see analysis::CanonicalClassSchema). Returns the analyzed
-/// AST — with `//` steps annotated for guided evaluation — or
+/// `db_class` (see analysis::CanonicalClassSchema). Returns the parsed
+/// AST or
 /// InvalidArgument when the query references names/axes the class DTD can
 /// never satisfy. The native engine path runs every canned query through
 /// this before the timed region, so a query against the wrong class

@@ -29,43 +29,22 @@ std::vector<std::string> SplitLines(const std::string& text) {
 /// parse, schema analysis, and plan compilation are the DBMS's
 /// statement-prepare work, so the timed region covers plan execution only
 /// (the paper times query execution, not compilation). Compiled plans are
-/// cached in the engine keyed by (query, class, engine, guided flag), so a
-/// repeat run skips the whole phase — including a run from another
-/// session: the plan cache is the engine's shared statement cache. Query
-/// parameters are derived deterministically from the database's seeds and
-/// every mutation invalidates the cache, so a cached plan's embedded
-/// parameter values always match the collection it runs over.
-/// Clamps the caller's compilation options against the engine's current
-/// state: guided access paths degrade to full scans while the validation
-/// gate is closed (forcing guided must not produce a wrong answer), and
-/// cardinality-zero pruning stays off — the canonical schema's statistics
-/// describe the sample database, not the engine's actual collection.
-xquery::plan::CompilationOptions ClampForEngine(
-    const engines::NativeEngine& engine,
-    xquery::plan::CompilationOptions options) {
-  if (!engine.guided_eval_enabled()) {
-    options.access_path.allow_guided = false;
-    if (options.access_path.mode ==
-        xquery::plan::AccessPathMode::kForceGuided) {
-      options.access_path.mode = xquery::plan::AccessPathMode::kForceScan;
-    }
-  }
-  options.cost_model.trust_statistics = false;
-  return options;
-}
-
+/// cached in the engine keyed by (query, class, engine, access-path mode,
+/// catalog epoch), so a repeat run skips the whole phase — including a
+/// run from another session: the plan cache is the engine's shared
+/// statement cache. Query parameters are derived deterministically from
+/// the database's seeds and every mutation invalidates the cache, so a
+/// cached plan's embedded parameter values always match the collection it
+/// runs over. Cardinality-zero pruning stays off whatever the caller
+/// asks: the canonical schema's statistics describe the sample database,
+/// not the engine's actual collection.
 Result<std::shared_ptr<const xquery::plan::CompiledQuery>> PrepareNativePlan(
     engines::NativeEngine& engine, QueryId id, datagen::DbClass db_class,
     const QueryParams& params,
     const xquery::plan::CompilationOptions& requested, bool* cache_hit,
     QueryProfile* profile) {
-  const xquery::plan::CompilationOptions options =
-      ClampForEngine(engine, requested);
-  const xquery::plan::AccessPathPolicy& policy = options.access_path;
-  const bool guided =
-      policy.mode == xquery::plan::AccessPathMode::kForceGuided ||
-      (policy.mode != xquery::plan::AccessPathMode::kForceScan &&
-       policy.allow_guided);
+  xquery::plan::CompilationOptions options = requested;
+  options.cost_model.trust_statistics = false;
   // Snapshot the planner-facing catalog before the cache probe: its epoch
   // is part of the key, so a plan costed against superseded index state
   // (DDL or mutation since) misses instead of being served.
@@ -74,9 +53,7 @@ Result<std::shared_ptr<const xquery::plan::CompiledQuery>> PrepareNativePlan(
       static_cast<int>(id),
       static_cast<int>(db_class),
       static_cast<int>(EngineKind::kNative),
-      guided,
-      static_cast<int>(policy.mode),
-      policy.forced_index,
+      static_cast<int>(options.access_path.mode),
       catalog.epoch};
   if (auto cached = engine.plan_cache().Lookup(key)) {
     *cache_hit = true;
@@ -207,29 +184,6 @@ ExecutionResult Session::Run(QueryId id, const QueryParams& params,
       RunNative(native, *native_plan, options.collect_plan_stats,
                 options.profile, result);
       result.plan_cache_hit = native_cache_hit;
-      // A concurrent mutation can close the guided-eval gate between this
-      // statement's compile phase and its execute, in which case the engine
-      // rejects the now-stale guided plan rather than risk a wrong answer.
-      // Unguided plans are always correct, so recompile with the access
-      // path forced to full scans and retry once; the fallback plan cannot
-      // bounce off the gate again.
-      if (result.status.code() == StatusCode::kInvalidArgument &&
-          native_plan->guided) {
-        xquery::plan::CompilationOptions scan_options = options.compile;
-        scan_options.access_path.mode =
-            xquery::plan::AccessPathMode::kForceScan;
-        scan_options.access_path.allow_guided = false;
-        auto fallback = PrepareNativePlan(
-            native, id, db_class_, params, scan_options, &native_cache_hit,
-            options.profile ? &profile : nullptr);
-        if (fallback.ok()) {
-          result = ExecutionResult{};
-          result.profile = profile;
-          RunNative(native, **fallback, options.collect_plan_stats,
-                    options.profile, result);
-          result.plan_cache_hit = native_cache_hit;
-        }
-      }
       break;
     }
     case EngineKind::kClob: {

@@ -53,7 +53,7 @@ class Session {
   /// Index DDL, statement-style: delegates to the session's engine, which
   /// serializes DDL against in-flight statements on the collection lock.
   /// Engines reject kinds they cannot host with kUnsupported (only the
-  /// native engine serves kPath/kText); the native engine invalidates its
+  /// native engine serves kText); the native engine invalidates its
   /// plan cache and bumps its catalog epoch, so statements compiled before
   /// the DDL never run with a stale access-path choice.
   Status CreateIndex(const engines::IndexSpec& spec) {

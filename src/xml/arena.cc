@@ -29,17 +29,45 @@ Arena::Arena(size_t first_block_bytes)
                                    kMaxBlockBytes)) {}
 
 Arena::~Arena() {
-  // Names longer than the small-string buffer own heap memory.
-  for (size_t i = 0; i < name_capacity_; ++i) {
-    if (name_slots_[i] != nullptr) std::destroy_at(name_slots_[i]);
-  }
+  DestroyNames();
   for (const Block& block : blocks_) {
     XBENCH_ARENA_UNPOISON(block.data, block.size);
     delete[] block.data;
   }
 }
 
+void Arena::DestroyNames() {
+  for (size_t i = 0; i < name_capacity_; ++i) {
+    if (name_slots_[i] != nullptr) std::destroy_at(name_slots_[i]);
+  }
+}
+
+void Arena::Reset() {
+  DestroyNames();
+  name_slots_ = nullptr;
+  name_capacity_ = 0;
+  name_count_ = 0;
+  adopted_.clear();
+  rank_ = kNoRank;
+  for (const Block& block : blocks_) {
+    XBENCH_ARENA_POISON(block.data, block.size);
+  }
+  cur_ = nullptr;
+  end_ = nullptr;
+  next_block_ = 0;
+}
+
 void Arena::NewBlock(size_t min_bytes) {
+  // Blocks kept by Reset come first; one too small for this request stays
+  // unused until the arena is dropped.
+  while (next_block_ < blocks_.size()) {
+    const Block& block = blocks_[next_block_++];
+    if (block.size >= min_bytes) {
+      cur_ = block.data;
+      end_ = cur_ + block.size;
+      return;
+    }
+  }
   // Blocks come in few distinct sizes (8..15 × a power of two, so at most
   // 1/8 is rounding), which keeps the allocator's free lists short when
   // many documents of slightly different sizes are dropped and re-parsed
@@ -49,6 +77,7 @@ void Arena::NewBlock(size_t min_bytes) {
                       << (std::max<size_t>(std::bit_width(bytes), 4) - 4);
   bytes = (bytes + step - 1) & ~(step - 1);
   blocks_.push_back({new char[bytes], bytes});
+  next_block_ = blocks_.size();
   cur_ = blocks_.back().data;
   end_ = cur_ + bytes;
   XBENCH_ARENA_POISON(cur_, bytes);

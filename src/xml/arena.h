@@ -96,6 +96,11 @@ class Arena {
   /// from `child`) for as long as this arena lives; no node is copied.
   void Adopt(std::unique_ptr<Arena> child);
 
+  /// Drops every node, name and adopted arena but keeps the blocks, which
+  /// later allocations reuse before asking the allocator for new ones. A
+  /// document re-parsed into a reset arena then touches no fresh pages.
+  void Reset();
+
   /// Whether nothing was ever allocated from or adopted into this arena.
   bool empty() const { return blocks_.empty() && adopted_.empty(); }
 
@@ -115,6 +120,8 @@ class Arena {
   void NewBlock(size_t min_bytes);
   /// Doubles the open-addressing name index (at least 16 slots).
   void GrowNameIndex();
+  /// Destroys the interned names (long ones own heap memory).
+  void DestroyNames();
 
   char* cur_ = nullptr;
   char* end_ = nullptr;
@@ -125,6 +132,8 @@ class Arena {
     size_t size;
   };
   std::vector<Block> blocks_;
+  /// blocks_[next_block_..] are kept from before a Reset and still free.
+  size_t next_block_ = 0;
   /// Interned names, open addressing with linear probing; the slots and
   /// the std::string objects are arena allocations, destroyed by ~Arena.
   std::string** name_slots_ = nullptr;

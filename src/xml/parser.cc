@@ -76,8 +76,10 @@ constexpr size_t kArenaBytesPerInputByte = 4;
 class ParserImpl {
  public:
   ParserImpl(std::string_view input, const ParseOptions& options,
-             Document& doc)
-      : input_(input), options_(options), doc_(doc) {}
+             Document& doc, Document recycled)
+      : input_(input), options_(options), doc_(doc) {
+    doc_.arena_ = std::move(recycled.arena_);
+  }
 
   Status ParseDocument() {
     // Text sizes and order ids are 32-bit in the node layout.
@@ -100,8 +102,12 @@ class ParserImpl {
       arena_bytes = max_nodes * (sizeof(Node) + 2 * sizeof(Node*)) +
                     input_.size() + kNameTableBytes;
     }
-    doc_.arena_ = std::make_unique<Arena>(
-        std::min(arena_bytes, Arena::kMaxBlockBytes));
+    if (doc_.arena_ != nullptr) {
+      doc_.arena_->Reset();
+    } else {
+      doc_.arena_ = std::make_unique<Arena>(
+          std::min(arena_bytes, Arena::kMaxBlockBytes));
+    }
     arena_ = doc_.arena_.get();
     order_capacity_ = std::max<size_t>(max_nodes, 1);
     order_table_ = arena_->AllocateArray<const Node*>(order_capacity_);
@@ -488,9 +494,9 @@ class ParserImpl {
 };
 
 Result<Document> Parse(std::string_view input, std::string document_name,
-                       const ParseOptions& options) {
+                       const ParseOptions& options, Document recycled) {
   Document doc(std::move(document_name));
-  ParserImpl parser(input, options, doc);
+  ParserImpl parser(input, options, doc, std::move(recycled));
   XBENCH_RETURN_IF_ERROR(parser.ParseDocument());
   return doc;
 }

@@ -23,8 +23,12 @@ struct ParseOptions {
 /// numeric character references. DTDs are skipped, not processed.
 ///
 /// Returns kCorruption with a line/column message on malformed input.
+///
+/// `recycled` is a document the caller is done with: its arena is reset
+/// and the new tree is built in the blocks it already holds.
 Result<Document> Parse(std::string_view input, std::string document_name,
-                       const ParseOptions& options = {});
+                       const ParseOptions& options = {},
+                       Document recycled = {});
 
 /// Well-formedness check without building a tree (used by bulk loaders that
 /// only verify, mirroring XML Extender's load-time check).

@@ -47,27 +47,12 @@ enum class LogicalOp { kAnd, kOr };
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
-/// Schema-derived expansion of a descendant step. `//name` parses into a
-/// descendant-or-self::* step followed by a child step; when a DTD bounds
-/// the label paths that can lead from a context element of `context_type`
-/// to the step's name test, the analyzer records each concrete chain here
-/// (child element names, target last). Evaluators may then walk these
-/// child chains instead of scanning the whole subtree.
-struct StepExpansion {
-  std::string context_type;
-  std::vector<std::string> labels;
-};
-
 /// One step of a path expression: axis + name test + predicates.
 struct Step {
   Axis axis = Axis::kChild;
   /// Element/attribute name, or "*" for a wildcard.
   std::string name_test;
   std::vector<ExprPtr> predicates;
-  /// Filled by analysis::Analyze for child steps that follow a
-  /// descendant-or-self::* step (the `//` idiom). Empty = no expansion
-  /// known; evaluation falls back to a full subtree scan.
-  std::vector<StepExpansion> expansions;
 };
 
 struct ForClause {

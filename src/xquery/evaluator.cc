@@ -306,14 +306,12 @@ class Evaluator {
     }
     for (size_t i = 0; i < e.steps.size(); ++i) {
       const Step& step = e.steps[i];
-      // `//name` fusion: when the analyzer resolved the descendant step
-      // into concrete child chains, walk those instead of scanning every
-      // subtree node (the paper's Q8/Q9 "unknown step" substitution).
-      if (options_.use_step_expansions &&
+      // `//name` fusion: with a path guide, walk its label chains instead
+      // of scanning every subtree node (the paper's Q8/Q9 "unknown step").
+      if (options_.guide != nullptr &&
           step.axis == Axis::kDescendantOrSelf && step.name_test == "*" &&
           step.predicates.empty() && i + 1 < e.steps.size() &&
-          e.steps[i + 1].axis == Axis::kChild &&
-          !e.steps[i + 1].expansions.empty()) {
+          e.steps[i + 1].axis == Axis::kChild) {
         XBENCH_ASSIGN_OR_RETURN(
             current, EvalExpandedDescendant(e.steps[i + 1], current));
         ++i;
@@ -324,11 +322,11 @@ class Evaluator {
     return current;
   }
 
-  /// Evaluates the fused `//name` pair through `step.expansions`. Context
-  /// elements whose type the analyzer did not cover fall back to a full
-  /// subtree scan, so the fast path can never drop results. Predicates
-  /// evaluate per parent element — the same candidate lists the unfused
-  /// child step builds — so positional predicates keep their meaning.
+  /// Evaluates the fused `//name` pair through the path guide. Contexts
+  /// the guide does not cover fall back to a full subtree scan, so the
+  /// fast path can never drop results. Predicates evaluate per parent
+  /// element — the same candidate lists the unfused child step builds —
+  /// so positional predicates keep their meaning.
   Result<Sequence> EvalExpandedDescendant(const Step& step,
                                           const Sequence& input) {
     VisitTally visited(nodes_visited_);
@@ -339,18 +337,11 @@ class Evaluator {
       }
       if (context.kind == Item::Kind::kAttribute) continue;
       const xml::Node& node = *context.node;
-      std::vector<const StepExpansion*> chains;
-      bool covered = false;
-      for (const StepExpansion& expansion : step.expansions) {
-        if (expansion.context_type == node.name()) {
-          covered = true;
-          chains.push_back(&expansion);
-        }
-      }
+      const GuideNode* chains = options_.guide->Chains(node, step.name_test);
       if (step.predicates.empty()) {
         Sequence candidates;
-        if (covered) {
-          GuidedCollect(node, 0, chains, candidates, visited.count);
+        if (chains != nullptr) {
+          GuidedCollect(node, *chains, candidates, visited.count);
         } else {
           CollectDescendants(node, step.name_test, /*include_self=*/false,
                              candidates, visited.count);
@@ -359,8 +350,8 @@ class Evaluator {
         continue;
       }
       std::vector<Sequence> groups;
-      if (covered) {
-        GuidedCollectGroups(node, 0, chains, groups, visited.count);
+      if (chains != nullptr) {
+        GuidedCollectGroups(node, *chains, groups, visited.count);
       } else {
         CollectChildGroups(node, step.name_test, groups, visited.count);
       }

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "xml/node.h"
 #include "xquery/ast.h"
+#include "xquery/path_guide.h"
 #include "xquery/sequence.h"
 
 namespace xbench::xquery {
@@ -32,13 +33,11 @@ using Bindings = std::map<std::string, Sequence>;
 
 /// Evaluation switches.
 struct EvalOptions {
-  /// When false, analyzer-provided `Step::expansions` annotations are
-  /// ignored and descendant steps always run the full subtree scan.
-  /// Engines must disable expansions unless the collection they evaluate
-  /// over has been validated against the schema the expansions were
-  /// resolved from — a parent→child edge present in the data but missing
-  /// from that schema would make the guided walk silently drop matches.
-  bool use_step_expansions = true;
+  /// The path guide of the collection the bound documents come from. When
+  /// set, a fused `//name` step walks only the guide's label chains below
+  /// each context element stored in that collection; null (or a context
+  /// the guide does not cover) means a full subtree scan.
+  const PathGuide* guide = nullptr;
 };
 
 /// One lexical-scope binding (FLWOR/quantifier variable → value). The

@@ -329,11 +329,12 @@ class AxisStepOp final : public ItemOp {
 };
 
 /// The fused `//name` operator. The access path is frozen at plan time:
-/// kGuidedWalk descends only along analyzer chains (falling back to the
-/// full scan for context element types the chains do not cover, so it can
-/// never drop results); kFullScan always scans the subtree. Predicates
-/// evaluate per parent element — the candidate lists the unfused child
-/// step would build — so positional predicates keep their meaning.
+/// kGuidedWalk descends only along the label chains of the path guide
+/// passed in EvalOptions (falling back to the full scan for contexts the
+/// guide does not cover, so it can never drop results); kFullScan always
+/// scans the subtree. Predicates evaluate per parent element — the
+/// candidate lists the unfused child step would build — so positional
+/// predicates keep their meaning.
 ///
 /// The walk is split into work units run as one RunParallel region. The
 /// final SortDocumentOrderUnique makes the merge order-preserving: units
@@ -343,13 +344,11 @@ class DescendantStepOp final : public ItemOp {
  public:
   DescendantStepOp(std::string label, size_t slot,
                    std::unique_ptr<ItemOp> input, std::string name_test,
-                   std::vector<const Expr*> predicates,
-                   std::vector<StepExpansion> expansions, bool guided)
+                   std::vector<const Expr*> predicates, bool guided)
       : ItemOp(std::move(label), slot),
         input_(std::move(input)),
         name_test_(std::move(name_test)),
         predicates_(std::move(predicates)),
-        expansions_(std::move(expansions)),
         guided_(guided) {}
 
  protected:
@@ -362,6 +361,11 @@ class DescendantStepOp final : public ItemOp {
         return Status::InvalidArgument("path step applied to an atomic value");
       }
     }
+    const PathGuide* guide = guided_ ? ctx.options->guide : nullptr;
+    // The guide's chains below one context element; null = full scan.
+    auto chains_for = [&](const xml::Node& node) -> const GuideNode* {
+      return guide != nullptr ? guide->Chains(node, name_test_) : nullptr;
+    };
     VisitTally visited(*ctx.nodes_visited);
     Sequence result;
     if (!predicates_.empty()) {
@@ -371,10 +375,8 @@ class DescendantStepOp final : public ItemOp {
       for (const Item& context : input) {
         if (context.kind == Item::Kind::kAttribute) continue;
         const xml::Node& node = *context.node;
-        bool covered = false;
-        std::vector<const StepExpansion*> chains = ChainsFor(node, covered);
-        if (covered) {
-          GuidedCollectGroups(node, 0, chains, groups, visited.count);
+        if (const GuideNode* chains = chains_for(node)) {
+          GuidedCollectGroups(node, *chains, groups, visited.count);
         } else {
           CollectChildGroups(node, name_test_, groups, visited.count);
         }
@@ -419,11 +421,8 @@ class DescendantStepOp final : public ItemOp {
             const Item& context = input[i];
             if (context.kind == Item::Kind::kAttribute) return Status::Ok();
             const xml::Node& node = *context.node;
-            bool covered = false;
-            std::vector<const StepExpansion*> chains =
-                ChainsFor(node, covered);
-            if (covered) {
-              GuidedCollect(node, 0, chains, outputs[i], tallies[i]);
+            if (const GuideNode* chains = chains_for(node)) {
+              GuidedCollect(node, *chains, outputs[i], tallies[i]);
             } else {
               CollectDescendants(node, name_test_, /*include_self=*/false,
                                  outputs[i], tallies[i]);
@@ -438,34 +437,26 @@ class DescendantStepOp final : public ItemOp {
       SortDocumentOrderUnique(result);
       return result;
     }
-    // Frontier split: one unit per context child subtree. `chains`
-    // points into per-context storage that outlives the region.
+    // Frontier split: one unit per context child subtree.
     struct FrontierUnit {
       const xml::Node* node = nullptr;
-      /// Chains applicable at this unit's parent context (null = full
-      /// scan of the unit subtree).
-      const std::vector<const StepExpansion*>* chains = nullptr;
+      /// Guide trie node of the unit's parent context (null = full scan
+      /// of the unit subtree).
+      const GuideNode* chains = nullptr;
     };
-    std::vector<std::vector<const StepExpansion*>> context_chains;
-    context_chains.reserve(input.size());
     std::vector<FrontierUnit> units;
     for (const Item& context : input) {
       if (context.kind == Item::Kind::kAttribute) continue;
       const xml::Node& node = *context.node;
-      bool covered = false;
-      std::vector<const StepExpansion*> chains = ChainsFor(node, covered);
-      if (covered) {
-        context_chains.push_back(std::move(chains));
-        for (const xml::Node* child : node.children()) {
-          if (!child->is_element()) continue;
-          units.push_back({child, &context_chains.back()});
-        }
-      } else {
+      const GuideNode* chains = chains_for(node);
+      if (chains == nullptr) {
         // A whole-subtree walk visits the context root itself (and would
         // emit it under include_self, which descendant steps never set).
         ++visited.count;
-        for (const xml::Node* child : node.children()) {
-          units.push_back({child, nullptr});
+      }
+      for (const xml::Node* child : node.children()) {
+        if (chains == nullptr || child->is_element()) {
+          units.push_back({child, chains});
         }
       }
     }
@@ -479,24 +470,13 @@ class DescendantStepOp final : public ItemOp {
                                outputs[i], tallies[i]);
             return Status::Ok();
           }
-          // Per-child body of GuidedCollect at depth 0.
+          // Per-child body of GuidedCollect.
           ++tallies[i];
-          bool emit = false;
-          std::vector<const StepExpansion*> deeper;
-          for (const StepExpansion* chain : *unit.chains) {
-            if (chain->labels.empty() ||
-                chain->labels[0] != unit.node->name()) {
-              continue;
-            }
-            if (chain->labels.size() == 1) {
-              emit = true;
-            } else {
-              deeper.push_back(chain);
-            }
-          }
-          if (emit) outputs[i].push_back(Item::Node(unit.node));
-          if (!deeper.empty()) {
-            GuidedCollect(*unit.node, 1, deeper, outputs[i], tallies[i]);
+          const GuideNode* step = unit.chains->Find(unit.node->name());
+          if (step == nullptr) return Status::Ok();
+          if (step->match) outputs[i].push_back(Item::Node(unit.node));
+          if (!step->next.empty()) {
+            GuidedCollect(*unit.node, *step, outputs[i], tallies[i]);
           }
           return Status::Ok();
         });
@@ -510,27 +490,9 @@ class DescendantStepOp final : public ItemOp {
   }
 
  private:
-  /// The analyzer chains applicable to one context element; `covered` is
-  /// set when the guided walk may be used for it.
-  std::vector<const StepExpansion*> ChainsFor(const xml::Node& node,
-                                              bool& covered) const {
-    std::vector<const StepExpansion*> chains;
-    covered = false;
-    if (guided_) {
-      for (const StepExpansion& expansion : expansions_) {
-        if (expansion.context_type == node.name()) {
-          covered = true;
-          chains.push_back(&expansion);
-        }
-      }
-    }
-    return chains;
-  }
-
   std::unique_ptr<ItemOp> input_;
   std::string name_test_;
   std::vector<const Expr*> predicates_;
-  std::vector<StepExpansion> expansions_;
   bool guided_;
 };
 
@@ -1308,18 +1270,14 @@ class PhysicalBuilder {
       }
       case LogicalKind::kDescendantStep: {
         const bool guided = n.access == AccessPath::kGuidedWalk;
-        std::string label =
-            guided ? "GuidedWalk(" + n.name + ") [" +
-                         std::to_string(n.expansions.size()) +
-                         (n.expansions.size() == 1 ? " chain]" : " chains]")
-                   : "DescendantScan(" + n.name + ")";
-        label += PredicateSuffix(n);
+        const std::string label =
+            (guided ? "GuidedWalk(" : "DescendantScan(") + n.name + ")" +
+            PredicateSuffix(n);
         const size_t slot = AddSlot(label, depth);
         XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> input,
                                 BuildInput(n, depth));
         return {std::make_unique<DescendantStepOp>(
-            label, slot, std::move(input), n.name, n.predicates, n.expansions,
-            guided)};
+            label, slot, std::move(input), n.name, n.predicates, guided)};
       }
       case LogicalKind::kFilter: {
         const std::string label = "Filter" + PredicateSuffix(n);

@@ -84,9 +84,10 @@ struct PhysicalPlan {
 /// Lowers a logical plan to physical operators.
 Result<PhysicalPlan> BuildPhysicalPlan(const plan::LogicalPlan& logical);
 
-/// Runs a compiled plan. `options` is forwarded to interpreter-core leaf
-/// evaluation (so nested `//` steps inside predicates honor the same
-/// guided/full-scan mode the plan was compiled for). When `stats` is
+/// Runs a compiled plan. `options.guide` (nullable) is the path guide of
+/// the collection the bindings come from: guided-walk operators and
+/// interpreter-core leaves (nested `//` steps inside predicates) both
+/// walk its chains, and without it every `//` step scans. When `stats` is
 /// non-null, this execution's per-operator counters are copied into it.
 /// `indexes` (nullable) gives probe operators runtime index access; with
 /// it null every probe runs its compiled fallback access path.

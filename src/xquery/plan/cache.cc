@@ -17,10 +17,6 @@ Result<std::shared_ptr<const CompiledQuery>> Compile(
   auto compiled = std::make_shared<CompiledQuery>();
   compiled->ast = std::move(ast);
   compiled->options = options;
-  const AccessPathMode mode = options.access_path.mode;
-  compiled->guided =
-      mode == AccessPathMode::kForceGuided ||
-      (mode != AccessPathMode::kForceScan && options.access_path.allow_guided);
   XBENCH_ASSIGN_OR_RETURN(
       compiled->logical,
       BuildLogicalPlan(*compiled->ast, notes, options, catalog));
@@ -51,9 +47,8 @@ Result<std::shared_ptr<const CompiledQuery>> Compile(
 Result<std::shared_ptr<const CompiledQuery>> CompileText(
     std::string_view text, const IndexCatalog* catalog) {
   XBENCH_ASSIGN_OR_RETURN(ExprPtr ast, ParseQuery(text));
-  CompilationOptions options;
-  options.access_path.allow_guided = false;
-  return Compile(std::move(ast), /*notes=*/nullptr, options, catalog);
+  return Compile(std::move(ast), /*notes=*/nullptr, CompilationOptions{},
+                 catalog);
 }
 
 std::shared_ptr<const CompiledQuery> PlanCache::Lookup(

@@ -29,11 +29,6 @@ struct CompiledQuery {
   /// The options the plan was compiled under (access-path decisions in
   /// explain output report the mode alongside the per-node choices).
   CompilationOptions options;
-  /// Whether descendant steps were allowed to compile to schema-guided
-  /// walks. A guided plan is only executable on an engine whose collection
-  /// passed the load-time validation gate; the cache key carries this flag
-  /// so a gate flip compiles a fresh plan instead of reusing a stale one.
-  bool guided = false;
   /// When the whole plan is driven by exactly one index probe over the
   /// workload's `$input`, this points at that probe node (inside
   /// `logical`, so it lives as long as the compiled query). Engines use it
@@ -51,16 +46,14 @@ Result<std::shared_ptr<const CompiledQuery>> Compile(
     ExprPtr ast, const PlanAnnotations* notes,
     const CompilationOptions& options, const IndexCatalog* catalog = nullptr);
 
-/// Parses ad-hoc query text and compiles it unanalyzed, with guided walks
-/// disallowed: an unanalyzed AST carries no expansion chains, and a plan
-/// marked guided would be refused on any collection that has not passed
-/// the guided-eval gate. `catalog` (nullable) lets the planner choose
-/// index probes.
+/// Parses ad-hoc query text and compiles it unanalyzed under the default
+/// (kAuto) options. `catalog` (nullable) lets the planner choose index
+/// probes.
 Result<std::shared_ptr<const CompiledQuery>> CompileText(
     std::string_view text, const IndexCatalog* catalog = nullptr);
 
-/// Cache key: (query id, database class, engine kind, guided flag,
-/// access-path mode + forced index, index-catalog epoch). The ints mirror workload::QueryId / workload::DbClass /
+/// Cache key: (query id, database class, engine kind, access-path mode,
+/// index-catalog epoch). The ints mirror workload::QueryId / workload::DbClass /
 /// engines::EngineKind / plan::AccessPathMode without depending on those
 /// headers. The epoch ties a plan to the catalog snapshot it was costed
 /// against: index DDL or a document mutation bumps the engine's epoch, so
@@ -69,24 +62,20 @@ struct PlanCacheKey {
   int query_id = 0;
   int db_class = 0;
   int engine = 0;
-  bool guided = false;
   int access_mode = 0;
-  std::string forced_index;
   uint64_t index_epoch = 0;
 
   bool operator<(const PlanCacheKey& other) const {
-    return std::tie(query_id, db_class, engine, guided, access_mode,
-                    forced_index, index_epoch) <
+    return std::tie(query_id, db_class, engine, access_mode, index_epoch) <
            std::tie(other.query_id, other.db_class, other.engine,
-                    other.guided, other.access_mode, other.forced_index,
-                    other.index_epoch);
+                    other.access_mode, other.index_epoch);
   }
 };
 
 /// Per-engine compiled-plan cache. Engines own one and invalidate it on
 /// document mutations (BulkLoad / InsertDocument / DeleteDocument): the
-/// data change can flip the validation gate or the statistics underlying
-/// plan choices, so every compiled plan for that engine is dropped.
+/// data change can shift the statistics underlying plan choices, so every
+/// compiled plan for that engine is dropped.
 /// ColdRestart does NOT invalidate — compiled plans model the DBMS's
 /// statement cache, which survives buffer-pool flushes.
 ///

@@ -6,8 +6,6 @@ const char* IndexKindName(IndexKind kind) {
   switch (kind) {
     case IndexKind::kValue:
       return "value";
-    case IndexKind::kPath:
-      return "path";
     case IndexKind::kText:
       return "text";
   }

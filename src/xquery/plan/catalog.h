@@ -3,8 +3,11 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "xquery/path_guide.h"
 
 namespace xbench::xquery::plan {
 
@@ -15,8 +18,6 @@ enum class IndexKind {
   /// B+-tree over the typed value of one path ("item/@id", "hw"):
   /// key -> element postings.
   kValue,
-  /// Structural index: qualified element path -> node-range postings.
-  kPath,
   /// Inverted text index: word token -> element postings.
   kText,
 };
@@ -30,9 +31,9 @@ struct IndexStats {
   std::string name;
   IndexKind kind = IndexKind::kValue;
   /// kValue: the indexed path, either "element" (child text value) or
-  /// "element/@attr". Empty for kPath/kText.
+  /// "element/@attr". Empty for kText.
   std::string path;
-  /// Total postings (value/text) or distinct qualified paths (kPath).
+  /// Total postings.
   uint64_t entries = 0;
   /// Distinct keys (value) or distinct word tokens (text).
   uint64_t distinct_keys = 0;
@@ -55,6 +56,9 @@ struct CollectionStats {
   std::map<std::string, uint64_t> elements_by_name;
   /// Distinct document-root tag names in the collection.
   std::vector<std::string> root_names;
+  /// The collection's path guide as of this snapshot; kAuto prices guided
+  /// walks with it. Null when the catalog does not come from an engine.
+  std::shared_ptr<const PathGuide> guide;
 };
 
 /// The planner-facing view of an engine's secondary indexes. Engines

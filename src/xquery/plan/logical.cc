@@ -7,9 +7,19 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "xquery/path_guide.h"
 
 namespace xbench::xquery::plan {
 namespace {
+
+// Cost-model constants, in node visits. A B+-tree node fetch costs a page
+// read and resolving one posting to a DOM node about two visits; kAuto
+// picks a probe only when it is estimated cheaper than this fraction of
+// the best walk, so near-ties keep the simpler plan.
+constexpr double kNodeVisitCost = 1.0;
+constexpr double kPageReadCost = 16.0;
+constexpr double kPostingResolveCost = 2.0;
+constexpr double kIndexAdvantageMargin = 0.9;
 
 /// Sequence functions whose single argument compiles to an item sub-plan
 /// (the argument is the operator input; the function body stays the
@@ -114,10 +124,8 @@ std::string NodeLabel(const LogicalNode& n) {
       break;
     case LogicalKind::kDescendantStep:
       label = "DescendantStep(" + n.name + ")";
-      label += n.access == AccessPath::kGuidedWalk
-                   ? " [guided, " + std::to_string(n.expansions.size()) +
-                         (n.expansions.size() == 1 ? " chain]" : " chains]")
-                   : " [full-scan]";
+      label += n.access == AccessPath::kGuidedWalk ? " [guided]"
+                                                   : " [full-scan]";
       break;
     case LogicalKind::kFilter:
       label = "Filter";
@@ -195,9 +203,11 @@ void Render(const LogicalNode& n, int depth, std::string& out) {
 
 class Builder {
  public:
-  Builder(const PlanAnnotations* notes, const CompilationOptions& options,
-          bool guided_allowed)
-      : notes_(notes), options_(options), guided_allowed_(guided_allowed) {}
+  Builder(const PlanAnnotations* notes, const CompilationOptions& options)
+      : notes_(notes),
+        options_(options),
+        guided_allowed_(options.access_path.mode !=
+                        AccessPathMode::kForceScan) {}
 
   LogicalNodePtr BuildItem(const Expr& e) {
     switch (e.kind) {
@@ -249,14 +259,6 @@ class Builder {
     return node;
   }
 
-  std::vector<StepExpansion> ExpansionsFor(const Step& step) const {
-    if (notes_ != nullptr) {
-      auto it = notes_->step_expansions.find(&step);
-      if (it != notes_->step_expansions.end()) return it->second;
-    }
-    return step.expansions;
-  }
-
   Card CardinalityFor(const Expr& e) const {
     if (notes_ == nullptr) return Card::kUnknown;
     auto it = notes_->path_cardinality.find(&e);
@@ -274,7 +276,7 @@ class Builder {
     for (size_t i = 0; i < e.steps.size(); ++i) {
       const Step& step = e.steps[i];
       // `//name` fusion, mirroring the interpreter's condition — except
-      // that the plan fuses even without analyzer chains (the full-scan
+      // that the plan fuses even when it will scan (the full-scan
       // descendant operator selects the same nodes the unfused step pair
       // does, per-parent groups preserving predicate positions).
       if (step.axis == Axis::kDescendantOrSelf && step.name_test == "*" &&
@@ -287,10 +289,10 @@ class Builder {
         for (const auto& pred : target.predicates) {
           node->predicates.push_back(pred.get());
         }
-        node->expansions = ExpansionsFor(target);
-        node->access = guided_allowed_ && !node->expansions.empty()
-                           ? AccessPath::kGuidedWalk
-                           : AccessPath::kFullScan;
+        node->access =
+            guided_allowed_ && PathGuide::Guides(target.name_test)
+                ? AccessPath::kGuidedWalk
+                : AccessPath::kFullScan;
         node->inputs.push_back(std::move(current));
         current = std::move(node);
         ++i;
@@ -616,6 +618,17 @@ void FlattenConjuncts(const Expr& e, std::vector<const Expr*>& out) {
   out.push_back(&e);
 }
 
+bool NodeUsesGuided(const LogicalNode& node) {
+  if (node.kind == LogicalKind::kDescendantStep &&
+      node.access == AccessPath::kGuidedWalk) {
+    return true;
+  }
+  for (const LogicalNodePtr& input : node.inputs) {
+    if (NodeUsesGuided(*input)) return true;
+  }
+  return false;
+}
+
 /// The shapes an index probe can replace: a step or filter directly over
 /// a variable scan. The probe validates every index candidate against the
 /// scanned root set plus this structural context, so its output is always
@@ -682,57 +695,61 @@ class AccessPathSelector {
     return options_.access_path.mode == AccessPathMode::kForceIndex;
   }
 
-  bool IndexAllowed(const std::string& name) const {
-    const std::string& forced = options_.access_path.forced_index;
-    return forced.empty() || forced == name;
-  }
-
   uint64_t CountOf(const std::string& name) const {
     auto it = catalog_.collection.elements_by_name.find(name);
     return it == catalog_.collection.elements_by_name.end() ? 0 : it->second;
   }
 
+  /// Element visits of a guided walk along `at`'s chains: every label on
+  /// them, weighted by how many elements carry it.
+  double GuidedVisits(const GuideNode& at) const {
+    double visits = 0;
+    for (const GuideNode& step : at.next) {
+      visits += static_cast<double>(CountOf(step.label)) + GuidedVisits(step);
+    }
+    return visits;
+  }
+
   /// Estimated cost of running the replaced subtree once (node visits).
   double WalkCost(const LogicalNode& node) const {
-    const CostModelOptions& cm = options_.cost_model;
-    const double docs =
-        static_cast<double>(catalog_.collection.documents);
+    const CollectionStats& collection = catalog_.collection;
+    const double docs = static_cast<double>(collection.documents);
     switch (node.kind) {
       case LogicalKind::kScan:
       case LogicalKind::kFilter:
-        return docs * cm.node_visit_cost;
+        return docs * kNodeVisitCost;
       case LogicalKind::kChildStep:
         return (docs + static_cast<double>(CountOf(node.name))) *
-               cm.node_visit_cost;
+               kNodeVisitCost;
       case LogicalKind::kDescendantStep: {
-        if (node.access == AccessPath::kGuidedWalk) {
+        // A guided walk from the collection roots follows the catalog's
+        // copy of the path guide; from anywhere else, price a scan.
+        if (node.access == AccessPath::kGuidedWalk &&
+            collection.guide != nullptr && node.inputs[0]->name == "input") {
           double visits = docs;
-          for (const StepExpansion& chain : node.expansions) {
-            for (const std::string& label : chain.labels) {
-              visits += static_cast<double>(CountOf(label));
-            }
+          for (const std::string& root : collection.root_names) {
+            visits +=
+                GuidedVisits(collection.guide->ChainsBelow(root, node.name));
           }
-          return visits * cm.node_visit_cost;
+          return visits * kNodeVisitCost;
         }
-        return static_cast<double>(catalog_.collection.total_elements) *
-               cm.node_visit_cost;
+        return static_cast<double>(collection.total_elements) *
+               kNodeVisitCost;
       }
       default:
-        return static_cast<double>(catalog_.collection.total_elements) *
-               cm.node_visit_cost;
+        return static_cast<double>(collection.total_elements) *
+               kNodeVisitCost;
     }
   }
 
   double ProbeCost(const IndexStats& stats, double estimated_rows) const {
-    const CostModelOptions& cm = options_.cost_model;
-    return static_cast<double>(stats.height) * cm.page_read_cost +
-           estimated_rows * cm.posting_resolve_cost;
+    return static_cast<double>(stats.height) * kPageReadCost +
+           estimated_rows * kPostingResolveCost;
   }
 
   bool Beats(double probe_cost, double walk_cost) const {
     if (ForceIndex()) return true;
-    return probe_cost <
-           options_.cost_model.index_advantage_margin * walk_cost;
+    return probe_cost < kIndexAdvantageMargin * walk_cost;
   }
 
   /// Wraps `node` (moving it under the wrapper as runtime fallback) with
@@ -790,7 +807,7 @@ class AccessPathSelector {
         path = eq->step->name_test;
       }
       const IndexStats* stats = catalog_.FindValueIndexForPath(path);
-      if (stats == nullptr || !IndexAllowed(stats->name)) continue;
+      if (stats == nullptr) continue;
       const double est =
           static_cast<double>(stats->entries) /
           static_cast<double>(std::max<uint64_t>(stats->distinct_keys, 1));
@@ -866,10 +883,7 @@ class AccessPathSelector {
         // A conjunction pair only decomposes into one interval probe when
         // the path is single-valued per element (`d >= lo and d <= hi`
         // with two different d's has no witness in [lo, hi]).
-        if (stats == nullptr || !stats->single_valued ||
-            !IndexAllowed(stats->name)) {
-          continue;
-        }
+        if (stats == nullptr || !stats->single_valued) continue;
         const double est = static_cast<double>(stats->entries) / 3.0;
         if (!Beats(ProbeCost(*stats, est), WalkCost(*driving))) continue;
         IndexProbe probe;
@@ -890,7 +904,7 @@ class AccessPathSelector {
   void TryTextProbe(LogicalNode& where,
                     const std::vector<const Expr*>& conjuncts) {
     const IndexStats* stats = catalog_.FindByKind(IndexKind::kText);
-    if (stats == nullptr || !IndexAllowed(stats->name)) return;
+    if (stats == nullptr) return;
     for (const Expr* conjunct : conjuncts) {
       // The conjunct must pin the word to $v's subtree; which variable it
       // is rooted at falls out of the quantifier scan.
@@ -925,7 +939,7 @@ class AccessPathSelector {
         // still forces the full-subtree word search).
         const double word_search_cost =
             static_cast<double>(catalog_.collection.total_elements) *
-            options_.cost_model.node_visit_cost;
+            kNodeVisitCost;
         if (!Beats(ProbeCost(*stats, est),
                    WalkCost(*driving) + word_search_cost)) {
           continue;
@@ -975,39 +989,14 @@ class AccessPathSelector {
       }
       return out;
     }
-    return PlanUsesGuidedWalk(plan) ? "guided-walk" : "full-scan";
-  }
-
-  static bool NodeUsesGuidedWalk(const LogicalNode& node) {
-    if (node.kind == LogicalKind::kDescendantStep &&
-        node.access == AccessPath::kGuidedWalk) {
-      return true;
-    }
-    for (const LogicalNodePtr& input : node.inputs) {
-      if (NodeUsesGuidedWalk(*input)) return true;
-    }
-    return false;
-  }
-
-  static bool PlanUsesGuidedWalk(const LogicalPlan& plan) {
-    return plan.root != nullptr && NodeUsesGuidedWalk(*plan.root);
+    return plan.root != nullptr && NodeUsesGuided(*plan.root) ? "guided-walk"
+                                                               : "full-scan";
   }
 
   const CompilationOptions& options_;
   const IndexCatalog& catalog_;
   std::vector<std::string> chosen_;
 };
-
-bool NodeUsesGuided(const LogicalNode& node) {
-  if (node.kind == LogicalKind::kDescendantStep &&
-      node.access == AccessPath::kGuidedWalk) {
-    return true;
-  }
-  for (const LogicalNodePtr& input : node.inputs) {
-    if (NodeUsesGuided(*input)) return true;
-  }
-  return false;
-}
 
 void CountProbes(const LogicalNode& node, const LogicalNode*& single,
                  int& count) {
@@ -1185,10 +1174,7 @@ Result<LogicalPlan> BuildLogicalPlan(const Expr& query,
                                      const CompilationOptions& options,
                                      const IndexCatalog* catalog) {
   const AccessPathMode mode = options.access_path.mode;
-  const bool guided_allowed =
-      mode == AccessPathMode::kForceGuided ||
-      (mode != AccessPathMode::kForceScan && options.access_path.allow_guided);
-  Builder builder(notes, options, guided_allowed);
+  Builder builder(notes, options);
   LogicalPlan plan;
   plan.root = builder.BuildItem(query);
   if (plan.root == nullptr) {

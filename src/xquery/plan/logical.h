@@ -27,13 +27,9 @@ const char* ExprKindLabel(const Expr* e);
 const char* AxisLabel(Axis axis);
 
 /// Analyzer output the planner consumes, keyed by AST node identity (the
-/// maps are valid only while the analyzed AST is alive). This is how the
-/// `//`-expansion and cardinality rewrites ride on plans instead of AST
-/// field mutations: analysis::Analyze fills these alongside the legacy
-/// `Step::expansions` annotations, and BuildLogicalPlan copies what it
-/// needs into the plan nodes.
+/// map is valid only while the analyzed AST is alive): the path
+/// cardinality classes behind the provably-empty rewrite.
 struct PlanAnnotations {
-  std::map<const Step*, std::vector<StepExpansion>> step_expansions;
   std::map<const Expr*, Card> path_cardinality;
 };
 
@@ -68,9 +64,8 @@ enum class LogicalKind {
 };
 
 /// How a descendant step reaches its matches at execution time. Chosen at
-/// plan time: the guided walk needs analyzer chains *and* an engine whose
-/// collection passed the load-time validation gate (the planner is told
-/// via CompilationOptions::access_path).
+/// plan time from the access-path mode; a guided walk reads its chains at
+/// run time from the path guide of the collection it runs over.
 enum class AccessPath { kFullScan, kGuidedWalk };
 
 /// What an index probe looks up.
@@ -128,8 +123,6 @@ struct LogicalNode {
   std::string position_variable;
   Axis axis = Axis::kChild;
   AccessPath access = AccessPath::kFullScan;
-  /// kDescendantStep: analyzer chains copied off the AST at plan time.
-  std::vector<StepExpansion> expansions;
   /// Predicates / where / order-by / fallback expressions stay AST
   /// references; CompiledQuery keeps the analyzed AST alive for them.
   std::vector<const Expr*> predicates;
@@ -159,12 +152,10 @@ struct LogicalPlan {
 
 /// How the planner may resolve access paths.
 enum class AccessPathMode {
-  /// Cost-based: probe where a catalog index beats the estimated scan or
-  /// guided-walk cost, guided walks where chains exist and guidance is
-  /// allowed, full scans otherwise.
+  /// Cost-based: probe where a catalog index beats the estimated
+  /// guided-walk cost, guided walks otherwise.
   kAuto,
-  /// Guided walks wherever chains exist; never probes. Matches the
-  /// pre-index guided plans byte for byte.
+  /// Guided walks for every `//name` step; never probes.
   kForceGuided,
   /// Full scans only; never guided, never probes. Matches the
   /// pre-index unguided plans byte for byte.
@@ -179,17 +170,11 @@ const char* AccessPathModeName(AccessPathMode mode);
 /// Access-path half of the compilation options.
 struct AccessPathPolicy {
   AccessPathMode mode = AccessPathMode::kAuto;
-  /// kForceIndex: restrict probes to this index name; empty = any index.
-  std::string forced_index;
-  /// Whether guided walks may be chosen at all. The workload layer clears
-  /// this when the engine's collection failed the load-time validation
-  /// gate; kForceScan ignores it, kForceGuided implies it.
-  bool allow_guided = true;
 };
 
-/// Cost-model knobs. Unit is "one node visit"; the defaults model the
-/// simulated storage (a B+-tree node fetch costs a page read, resolving
-/// one posting to a DOM node costs about two visits).
+/// Cost-model knobs. Unit is "one node visit"; the constants in
+/// logical.cc model the simulated storage (a B+-tree node fetch costs a
+/// page read, resolving one posting to a DOM node costs about two visits).
 struct CostModelOptions {
   /// Apply the provably-empty-path rewrite (Card::kEmpty -> kEmpty node).
   /// The cardinality classes come from *instance* statistics of the
@@ -197,19 +182,12 @@ struct CostModelOptions {
   /// plan will run over matches those statistics; the workload runner
   /// leaves it off, `xqlint --explain` and schema-bound tests turn it on.
   bool trust_statistics = false;
-  double node_visit_cost = 1.0;
-  double page_read_cost = 16.0;
-  double posting_resolve_cost = 2.0;
-  /// An index probe must beat the best non-index path by this factor
-  /// (estimated probe cost < margin × best walk cost) before kAuto picks
-  /// it, so near-ties keep the simpler plan.
-  double index_advantage_margin = 0.9;
 };
 
 /// Everything the compile-then-execute pipeline needs to lower one query:
 /// the access-path policy and the cost model it consults under kAuto. The
-/// plan cache keys on (mode, forced index, guidance) plus the catalog
-/// epoch the plan was costed against.
+/// plan cache keys on the mode plus the catalog epoch the plan was costed
+/// against.
 struct CompilationOptions {
   AccessPathPolicy access_path;
   CostModelOptions cost_model;
@@ -239,9 +217,8 @@ int CountVariableUses(const Expr& expr, const std::string& name);
 /// documents holding probe candidates) from this.
 const LogicalNode* SingleInputProbe(const LogicalPlan& plan);
 
-/// Lowers an analyzed AST to the logical algebra. `notes` may be null
-/// (the planner then reads legacy `Step::expansions` annotations off the
-/// AST). `catalog` may be null (no probes are considered). Never fails on
+/// Lowers an analyzed AST to the logical algebra. `notes` may be null (no
+/// cardinality rewrite). `catalog` may be null (no probes are considered). Never fails on
 /// canned queries: any unsupported shape lowers to a kEval
 /// interpreter-core leaf.
 Result<LogicalPlan> BuildLogicalPlan(const Expr& query,

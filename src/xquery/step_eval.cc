@@ -20,56 +20,29 @@ void CollectDescendants(const xml::Node& node, const std::string& name_test,
   }
 }
 
-void GuidedCollect(const xml::Node& node, size_t depth,
-                   const std::vector<const StepExpansion*>& chains,
-                   Sequence& out, uint64_t& visited) {
+void GuidedCollect(const xml::Node& node, const GuideNode& at, Sequence& out,
+                   uint64_t& visited) {
   for (const xml::Node* child : node.children()) {
     if (!child->is_element()) continue;
     ++visited;
-    bool emit = false;
-    std::vector<const StepExpansion*> deeper;
-    for (const StepExpansion* chain : chains) {
-      if (chain->labels.size() <= depth ||
-          chain->labels[depth] != child->name()) {
-        continue;
-      }
-      if (chain->labels.size() == depth + 1) {
-        emit = true;
-      } else {
-        deeper.push_back(chain);
-      }
-    }
-    if (emit) out.push_back(Item::Node(child));
-    if (!deeper.empty()) {
-      GuidedCollect(*child, depth + 1, deeper, out, visited);
-    }
+    const GuideNode* step = at.Find(child->name());
+    if (step == nullptr) continue;
+    if (step->match) out.push_back(Item::Node(child));
+    if (!step->next.empty()) GuidedCollect(*child, *step, out, visited);
   }
 }
 
-void GuidedCollectGroups(const xml::Node& node, size_t depth,
-                         const std::vector<const StepExpansion*>& chains,
-                         std::vector<Sequence>& groups,
-                         uint64_t& visited) {
+void GuidedCollectGroups(const xml::Node& node, const GuideNode& at,
+                         std::vector<Sequence>& groups, uint64_t& visited) {
   Sequence here;
   for (const xml::Node* child : node.children()) {
     if (!child->is_element()) continue;
     ++visited;
-    bool emit = false;
-    std::vector<const StepExpansion*> deeper;
-    for (const StepExpansion* chain : chains) {
-      if (chain->labels.size() <= depth ||
-          chain->labels[depth] != child->name()) {
-        continue;
-      }
-      if (chain->labels.size() == depth + 1) {
-        emit = true;
-      } else {
-        deeper.push_back(chain);
-      }
-    }
-    if (emit) here.push_back(Item::Node(child));
-    if (!deeper.empty()) {
-      GuidedCollectGroups(*child, depth + 1, deeper, groups, visited);
+    const GuideNode* step = at.Find(child->name());
+    if (step == nullptr) continue;
+    if (step->match) here.push_back(Item::Node(child));
+    if (!step->next.empty()) {
+      GuidedCollectGroups(*child, *step, groups, visited);
     }
   }
   if (!here.empty()) groups.push_back(std::move(here));

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "xml/node.h"
 #include "xquery/ast.h"
+#include "xquery/path_guide.h"
 #include "xquery/sequence.h"
 
 namespace xbench::xquery {
@@ -47,20 +48,17 @@ void CollectDescendants(const xml::Node& node, const std::string& name_test,
                         bool include_self, Sequence& out,
                         uint64_t& visited);
 
-/// Schema-guided descendant collection: descends only along the label
-/// chains the analyzer proved possible, emitting matches in document order
-/// (pre-order). `chains` are the expansions applicable to the context
-/// element; `depth` indexes into their labels.
-void GuidedCollect(const xml::Node& node, size_t depth,
-                   const std::vector<const StepExpansion*>& chains,
-                   Sequence& out, uint64_t& visited);
+/// Guided descendant collection: descends from `node` only along the
+/// label chains of `at` (the guide trie node reached at `node`), emitting
+/// matches in document order (pre-order).
+void GuidedCollect(const xml::Node& node, const GuideNode& at, Sequence& out,
+                   uint64_t& visited);
 
 /// Per-parent variant of GuidedCollect for fused steps that carry
 /// predicates: each group holds every chain-final match under one parent
 /// element, so positional predicates ([1], position(), last()) see the
 /// same candidate list the unfused child step would build for that parent.
-void GuidedCollectGroups(const xml::Node& node, size_t depth,
-                         const std::vector<const StepExpansion*>& chains,
+void GuidedCollectGroups(const xml::Node& node, const GuideNode& at,
                          std::vector<Sequence>& groups, uint64_t& visited);
 
 /// Full-scan counterpart of GuidedCollectGroups: for `node` and every

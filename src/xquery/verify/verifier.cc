@@ -96,15 +96,10 @@ std::string ExpectedLabel(const LogicalNode& n) {
     case LogicalKind::kAxisStep:
       return std::string("AxisStep(") + plan::AxisLabel(n.axis) + "::" +
              n.name + ")" + PredicateSuffix(n);
-    case LogicalKind::kDescendantStep: {
-      std::string label =
-          n.access == plan::AccessPath::kGuidedWalk
-              ? "GuidedWalk(" + n.name + ") [" +
-                    std::to_string(n.expansions.size()) +
-                    (n.expansions.size() == 1 ? " chain]" : " chains]")
-              : "DescendantScan(" + n.name + ")";
-      return label + PredicateSuffix(n);
-    }
+    case LogicalKind::kDescendantStep:
+      return (n.access == plan::AccessPath::kGuidedWalk ? "GuidedWalk("
+                                                        : "DescendantScan(") +
+             n.name + ")" + PredicateSuffix(n);
     case LogicalKind::kFilter:
       return "Filter" + PredicateSuffix(n);
     case LogicalKind::kAggregate:

@@ -6,11 +6,9 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/class_schemas.h"
-#include "engines/native_engine.h"
 #include "workload/queries.h"
 #include "workload/runner.h"
 #include "xml/parser.h"
-#include "xquery/evaluator.h"
 #include "xquery/parser.h"
 
 namespace xbench::analysis {
@@ -117,83 +115,10 @@ TEST_F(AnalyzerTest, DescendantStepIsResolvedToChains) {
   EXPECT_TRUE(report.diagnostics.empty()) << report.ToString();
   EXPECT_EQ(report.resolved_steps, 1);
   // `//c` parses as descendant-or-self::* followed by child::c; the
-  // analyzer annotates the child step with the only admissible chain.
-  ASSERT_EQ(expr_->steps.size(), 2u);
-  const xquery::Step& step = expr_->steps[1];
-  ASSERT_EQ(step.expansions.size(), 1u);
-  EXPECT_EQ(step.expansions[0].context_type, "a");
-  EXPECT_EQ(step.expansions[0].labels,
-            (std::vector<std::string>{"b", "c"}));
-}
-
-TEST_F(AnalyzerTest, GuidedEvaluationMatchesFullScan) {
-  auto doc = xml::Parse(
-      "<a><b><c>1</c><c>2</c></b><b><c>3</c></b><d>t</d></a>", "a.xml");
-  ASSERT_TRUE(doc.ok());
-  xquery::Bindings bindings;
-  bindings["input"] = xquery::Sequence{xquery::Item::Node(doc->root())};
-
-  // Unannotated AST: the evaluator falls back to the full subtree scan.
-  auto plain = xquery::ParseQuery("$input//c");
-  ASSERT_TRUE(plain.ok());
-  auto scan = xquery::Evaluate(**plain, bindings);
-  ASSERT_TRUE(scan.ok());
-
-  // Annotated AST: the evaluator walks only the admitted label chains.
-  AnalysisReport report = Analyzed("$input//c");
-  ASSERT_EQ(report.resolved_steps, 1);
-  auto guided = xquery::Evaluate(*expr_, bindings);
-  ASSERT_TRUE(guided.ok());
-
-  EXPECT_EQ(guided->ToText(), scan->ToText());
-  EXPECT_EQ(scan->ToText(), "<c>1</c>\n<c>2</c>\n<c>3</c>\n");
-}
-
-TEST_F(AnalyzerTest, GuidedEvaluationAppliesPredicatesPerParent) {
-  // Positional predicates on a fused `//name[pred]` pair must see the
-  // same per-parent candidate lists as the unfused child step: `//c[1]`
-  // selects the first <c> of *every* parent, not the first <c> overall.
-  auto doc = xml::Parse(
-      "<a><b><c>1</c><c>2</c></b><b><c>3</c></b><d>t</d></a>", "a.xml");
-  ASSERT_TRUE(doc.ok());
-  xquery::Bindings bindings;
-  bindings["input"] = xquery::Sequence{xquery::Item::Node(doc->root())};
-
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {"$input//c[1]", "<c>1</c>\n<c>3</c>\n"},
-      {"$input//c[last()]", "<c>2</c>\n<c>3</c>\n"},
-      {"$input//c[position() = 2]", "<c>2</c>\n"},
-      {"$input//c[. = \"2\"]", "<c>2</c>\n"},
-  };
-  for (const auto& [query, expected] : cases) {
-    auto plain = xquery::ParseQuery(query);
-    ASSERT_TRUE(plain.ok()) << query;
-    auto scan = xquery::Evaluate(**plain, bindings);
-    ASSERT_TRUE(scan.ok()) << query;
-    EXPECT_EQ(scan->ToText(), expected) << query;
-
-    AnalysisReport report = Analyzed(query);
-    EXPECT_TRUE(report.diagnostics.empty()) << query << report.ToString();
-    EXPECT_EQ(report.resolved_steps, 1) << query;
-    auto guided = xquery::Evaluate(*expr_, bindings);
-    ASSERT_TRUE(guided.ok()) << query;
-    EXPECT_EQ(guided->ToText(), expected) << query;
-  }
-}
-
-TEST_F(AnalyzerTest, ExpansionsCanBeDisabledPerEvaluation) {
-  auto doc = xml::Parse("<a><b><c>1</c></b></a>", "a.xml");
-  ASSERT_TRUE(doc.ok());
-  xquery::Bindings bindings;
-  bindings["input"] = xquery::Sequence{xquery::Item::Node(doc->root())};
-
-  AnalysisReport report = Analyzed("$input//c");
-  ASSERT_EQ(report.resolved_steps, 1);
-  xquery::EvalOptions options;
-  options.use_step_expansions = false;
-  auto result = xquery::Evaluate(*expr_, bindings, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->ToText(), "<c>1</c>\n");
+  // analyzer reports the only admissible chain.
+  ASSERT_EQ(report.paths.size(), 1u);
+  EXPECT_EQ(report.paths[0].expansions,
+            (std::vector<std::string>{"a -> b/c"}));
 }
 
 TEST_F(AnalyzerTest, RecursiveSchemaIsNotExpanded) {
@@ -208,13 +133,14 @@ TEST_F(AnalyzerTest, RecursiveSchemaIsNotExpanded) {
   context_.roots = {"doc"};
 
   // `title` is reachable only through the recursive `sec` nest: the set of
-  // label chains is unbounded, so the step must stay unannotated (the
-  // evaluator keeps its full-scan behaviour, which is always correct).
+  // label chains is unbounded, so the step must stay unresolved and its
+  // cardinality unknown.
   AnalysisReport report = Analyzed("$input//title");
   EXPECT_TRUE(report.diagnostics.empty()) << report.ToString();
   EXPECT_EQ(report.resolved_steps, 0);
-  ASSERT_EQ(expr_->steps.size(), 2u);
-  EXPECT_TRUE(expr_->steps[1].expansions.empty());
+  ASSERT_EQ(report.paths.size(), 1u);
+  EXPECT_TRUE(report.paths[0].expansions.empty());
+  EXPECT_EQ(report.paths[0].cardinality, Cardinality::kUnknown);
 }
 
 TEST_F(AnalyzerTest, SelfPredicateNarrowsMultiRootInput) {
@@ -280,70 +206,6 @@ INSTANTIATE_TEST_SUITE_P(AllClasses, CannedQueryAnalysisTest,
                                        ? "SD"
                                        : "MD");
                          });
-
-TEST(GuidedEvalValidationTest, AcceptsConformingAndRejectsDriftedTrees) {
-  auto dtd = xml::Dtd::Parse(R"(
-<!ELEMENT a (b*, d?)>
-<!ELEMENT b (c*)>
-<!ELEMENT c (#PCDATA)>
-<!ELEMENT d (#PCDATA)>
-)");
-  ASSERT_TRUE(dtd.ok());
-  ClassSchema schema;
-  schema.dtd = std::move(dtd).value();
-  schema.roots = {"a"};
-
-  auto ok_doc = xml::Parse("<a><b><c>x</c></b><d>y</d></a>", "ok.xml");
-  ASSERT_TRUE(ok_doc.ok());
-  EXPECT_TRUE(ValidateForGuidedEval(*ok_doc->root(), schema).ok());
-
-  // An edge the schema never saw (a -> c) must be rejected: guided
-  // collection would silently skip such children.
-  auto drifted = xml::Parse("<a><c>x</c></a>", "drift.xml");
-  ASSERT_TRUE(drifted.ok());
-  Status status = ValidateForGuidedEval(*drifted->root(), schema);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("edge"), std::string::npos)
-      << status.ToString();
-
-  // A foreign root type is also non-conforming.
-  auto wrong_root = xml::Parse("<b><c>x</c></b>", "root.xml");
-  ASSERT_TRUE(wrong_root.ok());
-  EXPECT_FALSE(ValidateForGuidedEval(*wrong_root->root(), schema).ok());
-}
-
-TEST(GuidedEvalValidationTest, GeneratedDatabasesConform) {
-  // Databases generated with a configuration other than the canonical
-  // sample's must still validate (otherwise the driver path would run
-  // every `//` step as a full scan).
-  for (DbClass cls : {DbClass::kTcSd, DbClass::kTcMd, DbClass::kDcSd,
-                      DbClass::kDcMd}) {
-    datagen::GenConfig config;
-    config.target_bytes = 48 * 1024;
-    config.seed = 7;
-    const datagen::GeneratedDatabase db = datagen::Generate(cls, config);
-    EXPECT_TRUE(ValidateDatabaseForGuidedEval(db).ok())
-        << datagen::DbClassName(cls) << ": "
-        << ValidateDatabaseForGuidedEval(db).ToString();
-  }
-}
-
-TEST(GuidedEvalValidationTest, BulkLoadGatesGuidedEvaluation) {
-  datagen::GenConfig config;
-  config.target_bytes = 32 * 1024;
-  config.seed = 42;
-  const datagen::GeneratedDatabase db =
-      datagen::Generate(DbClass::kTcSd, config);
-  engines::NativeEngine engine;
-  EXPECT_FALSE(engine.guided_eval_enabled());
-  workload::TimedStatus timed = workload::BulkLoad(engine, db);
-  ASSERT_TRUE(timed.status.ok()) << timed.status.ToString();
-  EXPECT_TRUE(engine.guided_eval_enabled());
-
-  // Inserting a document invalidates the load-time conformance proof.
-  ASSERT_TRUE(engine.InsertDocument({"extra.xml", "<x><y>t</y></x>"}).ok());
-  EXPECT_FALSE(engine.guided_eval_enabled());
-}
 
 TEST(AnalyzeForClassTest, MisdirectedQueryIsAHardError) {
   // A query referencing an element the TC/SD dictionary DTD cannot

@@ -322,10 +322,9 @@ TEST(ConcurrentSessions, MutationsSerializeAgainstInFlightStatements) {
       workload::Session session(*engine, db.db_class, params);
       // Each reader issues a minimum number of statements so the race is
       // exercised even when the writer finishes before the readers spin up.
-      // Q17's `//` steps compile guided plans on a freshly validated
-      // collection, so an insert that closes the guided-eval gate can land
-      // between a statement's compile and its execute; the session must
-      // fall back to an unguided plan instead of surfacing the rejection.
+      // Q17's `//` steps compile to guided walks; an insert can land
+      // between a statement's compile and its execute, and the walk must
+      // then follow the guide of the collection it actually runs over.
       int runs = 0;
       while (runs++ < 8 || !stop.load()) {
         workload::ExecutionResult result = session.Run(QueryId::kQ17, warm);

@@ -163,14 +163,12 @@ TEST(NativeEngineTest, IndexDdlListsDropsAndSurvivesColdRestart) {
   auto db = SmallDb(DbClass::kTcMd);
   ASSERT_TRUE(engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
   IndexSpec value{"article/@id", "article/@id"};
-  IndexSpec path;
-  path.name = "paths";
-  path.kind = IndexKind::kPath;
+  IndexSpec title{"title", "title"};
   IndexSpec text;
   text.name = "words";
   text.kind = IndexKind::kText;
   ASSERT_TRUE(engine.CreateIndex(value).ok());
-  ASSERT_TRUE(engine.CreateIndex(path).ok());
+  ASSERT_TRUE(engine.CreateIndex(title).ok());
   ASSERT_TRUE(engine.CreateIndex(text).ok());
   EXPECT_EQ(engine.CreateIndex(value).code(), StatusCode::kAlreadyExists);
 
@@ -178,16 +176,16 @@ TEST(NativeEngineTest, IndexDdlListsDropsAndSurvivesColdRestart) {
   ASSERT_EQ(infos.size(), 3u);  // creation order
   EXPECT_EQ(infos[0].name, "article/@id");
   EXPECT_EQ(infos[0].kind, IndexKind::kValue);
-  EXPECT_EQ(infos[1].name, "paths");
-  EXPECT_EQ(infos[1].kind, IndexKind::kPath);
+  EXPECT_EQ(infos[1].name, "title");
+  EXPECT_EQ(infos[1].kind, IndexKind::kValue);
   EXPECT_EQ(infos[2].name, "words");
   EXPECT_EQ(infos[2].kind, IndexKind::kText);
   for (const IndexInfo& info : infos) {
     EXPECT_GT(info.entries, 0u) << info.name;
   }
 
-  ASSERT_TRUE(engine.DropIndex("paths").ok());
-  EXPECT_EQ(engine.DropIndex("paths").code(), StatusCode::kNotFound);
+  ASSERT_TRUE(engine.DropIndex("title").ok());
+  EXPECT_EQ(engine.DropIndex("title").code(), StatusCode::kNotFound);
   EXPECT_EQ(engine.ListIndexes().size(), 2u);
 
   // Indexes are part of the collection, not the caches: a cold restart
@@ -262,19 +260,14 @@ TEST(ClobEngineTest, CreateIndexOnSideTable) {
 
 // --- ShredEngine -----------------------------------------------------------------
 
-TEST(RelationalEngines, TextAndPathIndexKindsAreNativeOnly) {
+TEST(RelationalEngines, TextIndexKindIsNativeOnly) {
   IndexSpec text;
   text.name = "words";
   text.kind = IndexKind::kText;
-  IndexSpec path;
-  path.name = "paths";
-  path.kind = IndexKind::kPath;
   ClobEngine clob;
   ShredEngine shred(EngineKind::kShredMsSql);
   for (XmlDbms* engine : std::initializer_list<XmlDbms*>{&clob, &shred}) {
     EXPECT_EQ(engine->CreateIndex(text).code(), StatusCode::kUnsupported)
-        << engine->name();
-    EXPECT_EQ(engine->CreateIndex(path).code(), StatusCode::kUnsupported)
         << engine->name();
   }
 }

@@ -15,10 +15,10 @@ namespace xbench::oracle {
 
 /// Evaluates `query` with the interpreter, $input bound to `engine`'s
 /// document roots in collection order (fetched by running the compiled
-/// plan of `$input`), and guided descendant steps exactly when the engine
-/// allows them. The roots live in the engine's document cache, so the
-/// caller must not restart or mutate the engine while it reads the
-/// result.
+/// plan of `$input`). No path guide is passed, so every `//` step is a full
+/// subtree scan: the oracle shares no access-path code with the plans it
+/// checks. The roots live in the engine's document cache, so the caller
+/// must not restart or mutate the engine while it reads the result.
 inline Result<xquery::QueryResult> Interpret(engines::NativeEngine& engine,
                                              const xquery::Expr& query) {
   XBENCH_ASSIGN_OR_RETURN(auto input, xquery::plan::CompileText("$input"));
@@ -26,9 +26,7 @@ inline Result<xquery::QueryResult> Interpret(engines::NativeEngine& engine,
                           engine.ExecutePlan(*input));
   xquery::Bindings bindings;
   bindings["input"] = std::move(roots.items);
-  xquery::EvalOptions options;
-  options.use_step_expansions = engine.guided_eval_enabled();
-  return xquery::Evaluate(query, bindings, options);
+  return xquery::Evaluate(query, bindings);
 }
 
 }  // namespace xbench::oracle

@@ -1,14 +1,17 @@
 // Tests for the compile-then-execute pipeline: logical planning, physical
 // execution, the per-engine plan cache, and — most importantly — the
 // differential guarantee that a compiled plan produces byte-identical
-// output to the legacy AST interpreter for every canned query of every
-// class, with guided descendant walks both on and off.
+// output to the AST interpreter for every canned query of every class,
+// with guided descendant walks both on and off — and the path guide those
+// walks follow.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "datagen/generator.h"
 #include "engines/clob_engine.h"
@@ -29,8 +32,7 @@ using workload::QueryId;
 using workload::QueryName;
 
 /// One natively loaded database per class, shared across the test cases
-/// (loading through workload::BulkLoad so the guided-eval gate is set the
-/// same way the benchmark runner sets it).
+/// (loaded through workload::BulkLoad, as the benchmark runner loads it).
 class PlanFixture {
  public:
   static PlanFixture& Get() {
@@ -124,7 +126,7 @@ class PlanDifferentialTest : public ::testing::TestWithParam<Cell> {};
 /// cell, the compiled physical plan — full scans forced, guided walks
 /// forced, and cost-based against the engine's index catalog (Table 3
 /// value indexes plus a text index) — must produce byte-identical
-/// QueryResult::ToText() output to the legacy AST interpreter over the
+/// QueryResult::ToText() output to the full-scan AST interpreter over the
 /// same collection. Regions go wide on their own when their input is
 /// large enough; one cell per class must run at least one wide region,
 /// so the answer check keeps covering morsel-parallel execution.
@@ -134,10 +136,6 @@ TEST_P(PlanDifferentialTest, CompiledPlanMatchesInterpreterByteForByte) {
   const std::string text = workload::XQueryFor(id, cls, setup.params);
   if (text.empty()) GTEST_SKIP() << "query not defined for this class";
   engines::NativeEngine& engine = setup.native();
-  // Generated databases validate against the canonical schema, so the
-  // workload bulk-load enables guided evaluation; every plan flavour is
-  // executable.
-  ASSERT_TRUE(engine.guided_eval_enabled());
 
   auto ast = workload::AnalyzeForClass(text, cls);
   ASSERT_TRUE(ast.ok()) << ast.status().ToString();
@@ -261,25 +259,6 @@ TEST(PlanShapeTest, AutoModeChoosesIndexProbesOnTheCannedWorkload) {
   }
 }
 
-TEST(PlanShapeTest, ForceIndexModeRestrictsToTheNamedIndex) {
-  // kForceIndex with a name only probes through that index; naming an
-  // index no query shape can use must fall back to scans, not probe.
-  auto& setup = PlanFixture::Get().ForClass(DbClass::kTcSd);
-  const xquery::plan::IndexCatalog catalog =
-      setup.native().IndexCatalogSnapshot();
-  const std::string text =
-      workload::XQueryFor(QueryId::kQ5, DbClass::kTcSd, setup.params);
-  ASSERT_FALSE(text.empty());
-  xquery::plan::CompilationOptions options;
-  options.access_path.mode = xquery::plan::AccessPathMode::kForceIndex;
-  options.access_path.forced_index = "no_such_index";
-  auto compiled = CompileWith(text, DbClass::kTcSd, options, &catalog);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_EQ((*compiled)->logical.access_path_summary.find('('),
-            std::string::npos)
-      << (*compiled)->logical.access_path_summary;
-}
-
 TEST(PlanShapeTest, EmptyRewriteGatedOnTrustStatistics) {
   // The rewrite consumes analyzer cardinality via PlanAnnotations; feed a
   // synthetic kEmpty annotation and check the gate.
@@ -311,7 +290,7 @@ TEST(PlanCacheTest, LookupInsertInvalidateWithMetrics) {
       metrics.GetCounter("xbench.plan.invalidations").value();
 
   xquery::plan::PlanCache cache;
-  const xquery::plan::PlanCacheKey key{1, 2, 3, false, 0, "", 0};
+  const xquery::plan::PlanCacheKey key{1, 2, 3, 0, 0};
   EXPECT_EQ(cache.Lookup(key), nullptr);
 
   auto parsed = xquery::ParseQuery("count($input)");
@@ -321,24 +300,17 @@ TEST(PlanCacheTest, LookupInsertInvalidateWithMetrics) {
   ASSERT_TRUE(compiled.ok());
   cache.Insert(key, *compiled);
   EXPECT_NE(cache.Lookup(key), nullptr);
-  // The guided flag is part of the key: a gate flip never reuses a plan
-  // compiled for the other access paths.
-  const xquery::plan::PlanCacheKey guided_key{1, 2, 3, true, 0, "", 0};
-  EXPECT_EQ(cache.Lookup(guided_key), nullptr);
-  // So are the access-path mode, the forced-index name, and the index
-  // catalog epoch: plans costed against superseded index state (or under
-  // a different policy) miss instead of being served.
-  const xquery::plan::PlanCacheKey mode_key{1, 2, 3, false, 3, "", 0};
+  // The access-path mode and the index catalog epoch are part of the key:
+  // plans costed against superseded index state (or under a different
+  // policy) miss instead of being served.
+  const xquery::plan::PlanCacheKey mode_key{1, 2, 3, 3, 0};
   EXPECT_EQ(cache.Lookup(mode_key), nullptr);
-  const xquery::plan::PlanCacheKey forced_key{1, 2, 3, false, 3,
-                                              "item_id", 0};
-  EXPECT_EQ(cache.Lookup(forced_key), nullptr);
-  const xquery::plan::PlanCacheKey epoch_key{1, 2, 3, false, 0, "", 7};
+  const xquery::plan::PlanCacheKey epoch_key{1, 2, 3, 0, 7};
   EXPECT_EQ(cache.Lookup(epoch_key), nullptr);
 
   EXPECT_EQ(metrics.GetCounter("xbench.plan.cache_hits").value(), hits0 + 1);
   EXPECT_EQ(metrics.GetCounter("xbench.plan.cache_misses").value(),
-            misses0 + 5);
+            misses0 + 3);
 
   cache.Invalidate();
   EXPECT_EQ(cache.size(), 0u);
@@ -375,32 +347,16 @@ TEST(PlanCacheTest, RunnerCachesAcrossColdRunsAndInvalidatesOnInsert) {
   EXPECT_TRUE(second.plan_cache_hit);
   EXPECT_EQ(second.lines, first.lines);
 
-  // A document mutation drops every cached plan (it can flip the guided
-  // gate), and the next run recompiles for the new gate state.
+  // A document mutation drops every cached plan (it shifts the statistics
+  // the plans were costed with), and the next run recompiles.
   ASSERT_TRUE(
       native.InsertDocument({"extra.xml", db.documents[0].text}).ok());
   EXPECT_EQ(native.plan_cache().size(), 0u);
-  EXPECT_FALSE(native.guided_eval_enabled());
   workload::ExecutionResult third =
       workload::RunQuery(*engine, QueryId::kQ8, DbClass::kTcMd, params);
   ASSERT_TRUE(third.status.ok());
   EXPECT_TRUE(third.compiled);
   EXPECT_FALSE(third.plan_cache_hit);
-}
-
-TEST(PlanCacheTest, GuidedPlanRejectedOnUnvalidatedCollection) {
-  auto& setup = PlanFixture::Get().ForClass(DbClass::kTcMd);
-  const std::string text =
-      workload::XQueryFor(QueryId::kQ8, DbClass::kTcMd, setup.params);
-  auto compiled = CompileFor(text, DbClass::kTcMd, /*guided=*/true);
-  ASSERT_TRUE(compiled.ok());
-  engines::NativeEngine fresh;
-  ASSERT_TRUE(
-      fresh.BulkLoad(DbClass::kTcMd,
-                     workload::ToLoadDocuments(setup.db)).ok());
-  ASSERT_FALSE(fresh.guided_eval_enabled());  // no validation ran
-  auto result = fresh.ExecutePlan(**compiled);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Per-operator stats -----------------------------------------------------
@@ -453,12 +409,11 @@ TEST(PlanExecTest, SelfTimesTelescopeUnderProbeFallbacks) {
   const std::string text =
       workload::XQueryFor(QueryId::kQ5, DbClass::kTcSd, setup.params);
   ASSERT_FALSE(text.empty());
-  engines::NativeEngine fresh;  // no indexes, no guided validation
+  engines::NativeEngine fresh;  // no indexes
   ASSERT_TRUE(fresh.BulkLoad(DbClass::kTcSd,
                              workload::ToLoadDocuments(setup.db)).ok());
   xquery::plan::CompilationOptions options;
   options.access_path.mode = xquery::plan::AccessPathMode::kForceIndex;
-  options.access_path.allow_guided = false;  // executable on `fresh`
   auto compiled = CompileWith(text, DbClass::kTcSd, options, &catalog);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   ASSERT_NE((*compiled)->physical.ToString().find("IndexScan("),
@@ -513,6 +468,196 @@ TEST(PlanExecTest, RegionsGoWideOnlyOnLargeInputs) {
   };
   EXPECT_GT(morsels_of(QueryId::kQ17, DbClass::kTcSd), 0u);
   EXPECT_EQ(morsels_of(QueryId::kQ8, DbClass::kTcMd), 0u);
+}
+
+// --- Path guide ---------------------------------------------------------------
+
+struct GuideRun {
+  std::string answer;  // ToText(), or the error status
+  std::string physical;
+  uint64_t nodes_visited = 0;
+};
+
+/// Compiles unanalyzed `text` under `mode` and runs it on `engine`.
+GuideRun RunOn(engines::NativeEngine& engine, const std::string& text,
+               xquery::plan::AccessPathMode mode) {
+  GuideRun run;
+  auto parsed = xquery::ParseQuery(text);
+  if (!parsed.ok()) {
+    run.answer = parsed.status().ToString();
+    return run;
+  }
+  xquery::plan::CompilationOptions options;
+  options.access_path.mode = mode;
+  options.verify = true;
+  auto compiled =
+      xquery::plan::Compile(std::move(*parsed), /*notes=*/nullptr, options);
+  if (!compiled.ok()) {
+    run.answer = compiled.status().ToString();
+    return run;
+  }
+  run.physical = (*compiled)->physical.ToString();
+  const obs::Counter& visited = obs::MetricsRegistry::Default().GetCounter(
+      "xbench.xquery.nodes_visited");
+  const uint64_t before = visited.value();
+  auto result = engine.ExecutePlan(**compiled);
+  run.nodes_visited = visited.value() - before;
+  run.answer = result.ok() ? result->ToText() : result.status().ToString();
+  return run;
+}
+
+constexpr auto kGuided = xquery::plan::AccessPathMode::kForceGuided;
+constexpr auto kScan = xquery::plan::AccessPathMode::kForceScan;
+
+TEST(GuideTest, GuidedEvaluationMatchesFullScan) {
+  engines::NativeEngine engine;
+  ASSERT_TRUE(engine
+                  .BulkLoad(DbClass::kTcMd,
+                            {{"a.xml",
+                              "<a><b><c>1</c><c>2</c></b><b><c>3</c></b>"
+                              "<d>t</d></a>"}})
+                  .ok());
+  const GuideRun scan = RunOn(engine, "$input//c", kScan);
+  const GuideRun guided = RunOn(engine, "$input//c", kGuided);
+  EXPECT_EQ(scan.answer, "<c>1</c>\n<c>2</c>\n<c>3</c>\n");
+  EXPECT_EQ(guided.answer, scan.answer);
+  EXPECT_NE(guided.physical.find("GuidedWalk(c)"), std::string::npos)
+      << guided.physical;
+  // The walk follows a/b/c and never enters <d> or a text node.
+  EXPECT_LT(guided.nodes_visited, scan.nodes_visited);
+}
+
+TEST(GuideTest, GuidedEvaluationAppliesPredicatesPerParent) {
+  // Positional predicates on a fused `//name[pred]` pair must see the
+  // same per-parent candidate lists as the unfused child step: `//c[1]`
+  // selects the first <c> of *every* parent, not the first <c> overall.
+  // Each case also runs inside a constructor, whose content the
+  // interpreter evaluates with the same guide.
+  engines::NativeEngine engine;
+  ASSERT_TRUE(engine
+                  .BulkLoad(DbClass::kTcMd,
+                            {{"a.xml",
+                              "<a><b><c>1</c><c>2</c></b><b><c>3</c></b>"
+                              "<d>t</d></a>"}})
+                  .ok());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"$input//c[1]", "<c>1</c>\n<c>3</c>\n"},
+      {"$input//c[last()]", "<c>2</c>\n<c>3</c>\n"},
+      {"$input//c[position() = 2]", "<c>2</c>\n"},
+      {"$input//c[. = \"2\"]", "<c>2</c>\n"},
+  };
+  for (const auto& [query, expected] : cases) {
+    for (auto mode : {kScan, kGuided}) {
+      EXPECT_EQ(RunOn(engine, query, mode).answer, expected) << query;
+      std::string wrapped = expected;
+      wrapped.erase(std::remove(wrapped.begin(), wrapped.end(), '\n'),
+                    wrapped.end());
+      EXPECT_EQ(RunOn(engine, "<r>{" + query + "}</r>", mode).answer,
+                "<r>" + wrapped + "</r>\n")
+          << query;
+    }
+  }
+}
+
+TEST(GuideTest, GuidedWalksSurviveAnInsert) {
+  // An inserted document extends the guide: TC/SD Q8 still runs a guided
+  // walk and still matches the oracle.
+  datagen::GenConfig config;
+  config.target_bytes = 64 * 1024;
+  config.seed = 42;
+  const datagen::GeneratedDatabase db =
+      datagen::Generate(DbClass::kTcSd, config);
+  auto engine = workload::MakeEngine(engines::EngineKind::kNative);
+  ASSERT_TRUE(workload::BulkLoad(*engine, db).status.ok());
+  auto& native = static_cast<engines::NativeEngine&>(*engine);
+  config.seed = 43;
+  ASSERT_TRUE(native
+                  .InsertDocument({"extra.xml", datagen::Generate(
+                                                    DbClass::kTcSd, config)
+                                                    .documents[0]
+                                                    .text})
+                  .ok());
+  const workload::QueryParams params =
+      workload::DeriveParams(DbClass::kTcSd, db.seeds);
+  workload::ExecutionResult result =
+      workload::RunQuery(*engine, QueryId::kQ8, DbClass::kTcSd, params);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  bool walked = false;
+  for (const xquery::exec::OperatorStats& op : result.plan_stats.operators) {
+    if (op.label.rfind("GuidedWalk(", 0) == 0) walked = true;
+  }
+  EXPECT_TRUE(walked);
+
+  auto ast = workload::AnalyzeForClass(
+      workload::XQueryFor(QueryId::kQ8, DbClass::kTcSd, params),
+      DbClass::kTcSd);
+  ASSERT_TRUE(ast.ok()) << ast.status().ToString();
+  auto reference = oracle::Interpret(native, **ast);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::string answer;
+  for (const std::string& line : result.lines) answer += line + "\n";
+  EXPECT_EQ(answer, reference->ToText());
+  EXPECT_FALSE(result.lines.empty());
+}
+
+TEST(GuideTest, InsertedPathJoinsTheGuideAndDeletedPathLeavesIt) {
+  engines::NativeEngine engine;
+  ASSERT_TRUE(
+      engine.BulkLoad(DbClass::kTcMd, {{"1.xml", "<a><b><c>1</c></b></a>"}})
+          .ok());
+  auto chains_below_a = [&] {
+    return engine.IndexCatalogSnapshot().collection.guide->ChainsBelow("a",
+                                                                        "c");
+  };
+  EXPECT_EQ(chains_below_a().Find("x"), nullptr);
+
+  // The bulk load never saw a/x/y/c; a guided walk that missed it would
+  // drop <c>2</c>.
+  ASSERT_TRUE(
+      engine.InsertDocument({"2.xml", "<a><x><y><c>2</c></y></x></a>"}).ok());
+  EXPECT_NE(chains_below_a().Find("x"), nullptr);
+  const GuideRun grown = RunOn(engine, "$input//c", kGuided);
+  EXPECT_NE(grown.physical.find("GuidedWalk(c)"), std::string::npos);
+  EXPECT_EQ(grown.answer, "<c>1</c>\n<c>2</c>\n");
+  // Ad-hoc text compiles cost-based, so it walks the guide too.
+  auto adhoc = engine.Query("$input//c");
+  ASSERT_TRUE(adhoc.ok()) << adhoc.status().ToString();
+  EXPECT_EQ(adhoc->ToText(), grown.answer);
+
+  ASSERT_TRUE(engine.DeleteDocument("2.xml").ok());
+  EXPECT_EQ(chains_below_a().Find("x"), nullptr);
+  EXPECT_EQ(RunOn(engine, "$input//c", kGuided).answer, "<c>1</c>\n");
+}
+
+TEST(GuideTest, FailedBulkLoadKeepsTheGuideOfWhatItLoaded) {
+  // The load stops at the malformed second document; the first stays in
+  // the collection, so its paths must be in the guide.
+  engines::NativeEngine engine;
+  EXPECT_FALSE(engine
+                   .BulkLoad(DbClass::kTcMd, {{"1.xml", "<a><x><c>1</c></x></a>"},
+                                              {"2.xml", "<a><c>"}})
+                   .ok());
+  EXPECT_EQ(RunOn(engine, "$input//c", kGuided).answer, "<c>1</c>\n");
+}
+
+TEST(GuideTest, ConstructedContextGetsAFullScan) {
+  // The guide holds entry -> qloc only as a direct child; the constructed
+  // <entry> nests its <qloc> one level deeper. A constructed tree is in no
+  // stored document, so the guided operator scans it instead.
+  engines::NativeEngine engine;
+  ASSERT_TRUE(engine
+                  .BulkLoad(DbClass::kTcSd,
+                            {{"d.xml",
+                              "<dictionary><e><entry><qloc>L1</qloc></entry>"
+                              "</e></dictionary>"}})
+                  .ok());
+  const GuideRun run = RunOn(
+      engine,
+      "let $c := <entry><x><qloc>L2</qloc></x></entry> return $c//qloc",
+      kGuided);
+  EXPECT_NE(run.physical.find("GuidedWalk(qloc)"), std::string::npos)
+      << run.physical;
+  EXPECT_EQ(run.answer, "<qloc>L2</qloc>\n");
 }
 
 // --- Xcolumn plan cache -----------------------------------------------------

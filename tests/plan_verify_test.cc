@@ -69,7 +69,6 @@ class VerifyFixture : public ::testing::Test {
     built.report = std::move(analyzed->report);
     built.options.access_path.mode =
         xquery::plan::AccessPathMode::kForceIndex;
-    built.options.access_path.allow_guided = false;
     auto logical = xquery::plan::BuildLogicalPlan(
         *built.ast, &built.report.annotations, built.options, catalog_);
     EXPECT_TRUE(logical.ok()) << logical.status().ToString();

@@ -139,6 +139,28 @@ TEST(ArenaTest, LargeRequestsGetTheirOwnBlock) {
   EXPECT_EQ(after->name(), "after");
 }
 
+TEST(ArenaTest, ResetKeepsBlocksForTheNextDocument) {
+  // A long name owns heap memory; Reset must destroy it (ASan would
+  // report the leak) and hand the blocks to the next parse.
+  const std::string long_name(64, 'n');
+  auto first = Parse("<" + long_name + "><b>1</b><b>2</b></" + long_name + ">",
+                     "first.xml");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const Arena* arena = &first->root()->arena();
+  const size_t reserved = arena->reserved_bytes();
+  first->root()->arena().set_rank(7);
+
+  auto second = Parse("<a><b>3</b></a>", "second.xml", {}, std::move(*first));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(&second->root()->arena(), arena);
+  EXPECT_EQ(second->root()->arena().reserved_bytes(), reserved);
+  EXPECT_EQ(second->root()->arena().rank(), Arena::kNoRank);
+  EXPECT_EQ(second->root()->name(), "a");
+  EXPECT_EQ(second->root()->TextContent(), "3");
+  EXPECT_EQ(second->NodeCount(), 3u);
+  EXPECT_EQ(second->NodeAt(2)->name(), "b");
+}
+
 // --- Parser -----------------------------------------------------------------
 
 TEST(ParserTest, ParsesSimpleDocument) {

@@ -1,17 +1,22 @@
 // Differential fuzzing oracle over generated, schema-aware XQuery.
 //
 // Feeds analysis::QueryGenerator output (deterministic in --seed) through
-// every answer path the native engine has — the tree-walking interpreter,
-// the compiled full-scan plan, the schema-guided plan, and the cost-based
-// (kAuto) plan compiled against the engine's live index catalog — and
-// requires byte-identical QueryResult::ToText() from all of them. Plans
+// every answer path the native engine has — the tree-walking interpreter
+// (full scans only), the compiled full-scan plan, the guided plan, and the
+// cost-based (kAuto) plan compiled against the engine's live index catalog
+// — and requires byte-identical QueryResult::ToText() from all of them. Plans
 // whose inputs are large enough run their regions on the worker pool, so
 // the morsel-parallel execution paths are fuzzed against the interpreter
 // too (the summary counts the plan runs that went wide). Index
 // availability itself is randomized: the engine cycles through three
 // index configurations (none / Table 3 value indexes / Table 3 + text
 // index) during the run, so cost-based plans are fuzzed both with probes
-// available and without. The same queries are cross-checked against the CLOB engine per document
+// available and without. The collection changes too: every other index
+// phase holds one more document — the first of the database generated with
+// seed+1, re-rooted under a <fuzz_extra> element so that every path in it
+// is new — inserted when the phase starts and deleted when it ends, so
+// guided plans follow a path guide that grows and shrinks. The same queries are
+// cross-checked against the CLOB engine per document
 // (MD classes, decomposable queries) as value multisets, and the shredded
 // relational image is validated column-by-column against the source
 // documents via the DAD's own extraction semantics.
@@ -215,12 +220,19 @@ int main(int argc, char** argv) {
   }
   const DbClass cls = chosen->cls;
 
-  // The canonical sample database: small, deterministic, and — by
-  // construction — conformant to the canonical schema, so the native
-  // engine's guided-evaluation gate opens and guided plans are testable.
+  // The canonical sample database (small and deterministic), plus the
+  // first document of its seed+1 sibling for the insert/delete phases.
+  // The sample already holds every path the generator produces, so the
+  // extra document gets a new root to make the guide grow.
   const auto& schema = xbench::analysis::CanonicalClassSchema(cls);
-  const auto db =
-      xbench::datagen::Generate(cls, xbench::analysis::CanonicalSampleConfig());
+  xbench::datagen::GenConfig config = xbench::analysis::CanonicalSampleConfig();
+  const auto db = xbench::datagen::Generate(cls, config);
+  ++config.seed;
+  const xbench::engines::LoadDocument extra{
+      "fuzz_extra.xml",
+      xbench::StrCat({"<fuzz_extra>",
+                     xbench::datagen::Generate(cls, config).documents[0].text,
+                     "</fuzz_extra>"})};
 
   auto native_ptr =
       xbench::workload::MakeEngine(xbench::engines::EngineKind::kNative);
@@ -234,7 +246,6 @@ int main(int argc, char** argv) {
                  load.status.ToString().c_str());
     return 2;
   }
-  const bool guided = native->guided_eval_enabled();
 
   // CLOB refuses the SD classes (single CLOB over the column limit); the
   // per-document cross-check only runs for MD classes.
@@ -256,9 +267,9 @@ int main(int argc, char** argv) {
   // limit at some scales; that is an expected Unsupported, not a bug.
   auto shred_ptr =
       xbench::workload::MakeEngine(xbench::engines::EngineKind::kShredDb2);
-  std::printf("plan_differential_fuzz: class=%s iters=%llu seed=%llu guided=%d\n",
+  std::printf("plan_differential_fuzz: class=%s iters=%llu seed=%llu\n",
               chosen->tag, static_cast<unsigned long long>(iters),
-              static_cast<unsigned long long>(seed), guided ? 1 : 0);
+              static_cast<unsigned long long>(seed));
   if (auto load = xbench::workload::BulkLoad(*shred_ptr, db);
       load.status.ok()) {
     auto* shred = dynamic_cast<xbench::engines::ShredEngine*>(shred_ptr.get());
@@ -307,21 +318,39 @@ int main(int argc, char** argv) {
       }
     }
   };
+  // The extra document goes into every engine that answers queries, so
+  // the CLOB cross-check keeps comparing like with like.
+  bool extra_loaded = false;
+  auto apply_extra = [&](bool wanted) {
+    if (wanted == extra_loaded) return;
+    extra_loaded = wanted;
+    for (xbench::engines::XmlDbms* engine :
+         {static_cast<xbench::engines::XmlDbms*>(native),
+          static_cast<xbench::engines::XmlDbms*>(clob)}) {
+      if (engine == nullptr) continue;
+      const xbench::Status status = wanted
+                                        ? engine->InsertDocument(extra)
+                                        : engine->DeleteDocument(extra.name);
+      if (!status.ok()) {
+        Fail("<document dml>", wanted ? "InsertDocument failed"
+                                      : "DeleteDocument failed",
+             engine->name(), status.ToString());
+      }
+    }
+  };
   struct ModeOption {
     const char* label;
     xbench::xquery::plan::AccessPathMode mode;
-    bool needs_guided;
     bool with_catalog;
   };
   constexpr ModeOption kModes[] = {
-      {"unguided", xbench::xquery::plan::AccessPathMode::kForceScan, false,
-       false},
-      {"guided", xbench::xquery::plan::AccessPathMode::kForceGuided, true,
-       false},
-      {"auto", xbench::xquery::plan::AccessPathMode::kAuto, false, true},
+      {"unguided", xbench::xquery::plan::AccessPathMode::kForceScan, false},
+      {"guided", xbench::xquery::plan::AccessPathMode::kForceGuided, false},
+      {"auto", xbench::xquery::plan::AccessPathMode::kAuto, true},
   };
   for (uint64_t i = 0; i < iters; ++i) {
     apply_index_state(static_cast<int>((i / kIndexPhaseIters + seed) % 3));
+    apply_extra((i / kIndexPhaseIters) % 2 == 1);
     const auto generated = gen.Next();
     const std::string& text = generated.text;
 
@@ -335,11 +364,9 @@ int main(int argc, char** argv) {
     auto interp = xbench::oracle::Interpret(*native, *interp_q->ast);
 
     for (const ModeOption& mode : kModes) {
-      if (mode.needs_guided && !guided) continue;
       auto compiled_q = xbench::workload::AnalyzeForClassFull(text, cls);
       xbench::xquery::plan::CompilationOptions options;
       options.access_path.mode = mode.mode;
-      options.access_path.allow_guided = guided;
       // Every fuzz-generated plan also runs the static verifier, so the
       // oracle rejects contract violations even when the answers agree.
       options.verify = true;
@@ -421,12 +448,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "  %llu queries: interpreter == %s plan%s, %llu runtime errors "
-      "(status-matched), %llu clob-compared, %llu wide plan runs, "
-      "%llu index-probe plans\n",
+      "  %llu queries: interpreter == unguided == guided == auto plan, "
+      "%llu runtime errors (status-matched), %llu clob-compared, "
+      "%llu wide plan runs, %llu index-probe plans\n",
       static_cast<unsigned long long>(iters),
-      guided ? "unguided == guided == auto" : "unguided == auto",
-      guided ? "" : " (guided gate closed)",
       static_cast<unsigned long long>(error_queries),
       static_cast<unsigned long long>(clob_compared),
       static_cast<unsigned long long>(wide_plans),

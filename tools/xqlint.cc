@@ -8,17 +8,18 @@
 // "unknown steps", Q8/Q9).
 //
 // With --explain, each analyzed query is additionally compiled through the
-// query planner (guided walks on, statistics-based pruning on — the
+// query planner (guided walks forced, statistics-based pruning on — the
 // statistics here describe exactly the sample database the schema came
 // from) and the logical + physical plan trees are printed. The rendering
 // is deterministic; the xqlint_explain_snapshots test diffs it against
 // tools/golden/xqlint_explain.txt.
 //
 // With --explain --profile, each compiled plan is additionally *executed*
-// over the canonical sample database (the one the schema was inferred
-// from, see analysis::CanonicalSampleConfig) and an EXPLAIN ANALYZE-style
-// per-operator table is printed: rows out, invocations, inclusive and
-// self time per operator.
+// by a native engine loaded with the canonical sample database (the one
+// the schema was inferred from, see analysis::CanonicalSampleConfig), so
+// guided walks follow that collection's path guide, and an EXPLAIN
+// ANALYZE-style per-operator table is printed: rows out, invocations,
+// inclusive and self time per operator.
 //
 // With --explain --indexes, the canonical sample database is loaded into
 // a native engine, the class's Table 3 value indexes plus a text index
@@ -57,7 +58,6 @@
 #include "engines/native_engine.h"
 #include "workload/queries.h"
 #include "workload/runner.h"
-#include "xquery/evaluator.h"
 #include "xquery/exec/exec.h"
 #include "xquery/parser.h"
 #include "xquery/plan/cache.h"
@@ -161,22 +161,13 @@ void PrintIndented(const std::string& text) {
   }
 }
 
-/// Runs `compiled` over the canonical sample database and prints the
-/// per-operator profile (xqlint --explain --profile).
+/// Runs `compiled` on `engine` (loaded with the canonical sample
+/// database) and prints the per-operator profile (xqlint --explain
+/// --profile).
 bool ProfileOne(QueryId id, const xbench::xquery::plan::CompiledQuery& compiled,
-                const xbench::datagen::GeneratedDatabase& sample_db) {
-  xbench::xquery::Sequence input;
-  input.reserve(sample_db.documents.size());
-  for (const auto& doc : sample_db.documents) {
-    input.push_back(xbench::xquery::Item::Node(doc.dom.root()));
-  }
-  xbench::xquery::Bindings bindings;
-  bindings["input"] = std::move(input);
-  xbench::xquery::EvalOptions options;
-  options.use_step_expansions = true;
+                xbench::engines::NativeEngine& engine) {
   xbench::xquery::exec::ExecStats stats;
-  auto result = xbench::xquery::exec::Execute(compiled.physical, bindings,
-                                              options, &stats);
+  auto result = engine.ExecutePlan(compiled, &stats);
   if (!result.ok()) {
     std::printf("  %-4s EXEC ERROR: %s\n", QueryName(id),
                 result.status().ToString().c_str());
@@ -202,12 +193,12 @@ bool ProfileOne(QueryId id, const xbench::xquery::plan::CompiledQuery& compiled,
 /// describe exactly the sample database the schema was inferred from),
 /// and prints the logical and physical plan trees. With `catalog`
 /// non-null the compile is cost-based (kAuto) against that index catalog
-/// and the access-path decision is printed. With `sample_db` non-null the
-/// plan is also executed over it and profiled.
+/// and the access-path decision is printed. With `sample_engine` non-null
+/// the plan is also executed on it and profiled.
 bool ExplainOne(DbClass cls, QueryId id, const ClassSchema& schema,
                 const QueryParams& params,
                 const xbench::xquery::plan::IndexCatalog* catalog,
-                const xbench::datagen::GeneratedDatabase* sample_db) {
+                xbench::engines::NativeEngine* sample_engine) {
   const std::string xquery = XQueryFor(id, cls, params);
   if (xquery.empty()) return true;
   auto parsed = xbench::xquery::ParseQuery(xquery);
@@ -223,8 +214,8 @@ bool ExplainOne(DbClass cls, QueryId id, const ClassSchema& schema,
   }
   xbench::xquery::plan::CompilationOptions options;
   // Without a catalog this reproduces the classic explain rendering:
-  // guided walks everywhere chains exist, never probes. With one, the
-  // cost model chooses among guided walks, scans and index probes.
+  // guided walks for every `//name` step, never probes. With one, the cost
+  // model chooses between guided walks and index probes.
   options.access_path.mode =
       catalog != nullptr ? xbench::xquery::plan::AccessPathMode::kAuto
                          : xbench::xquery::plan::AccessPathMode::kForceGuided;
@@ -245,8 +236,8 @@ bool ExplainOne(DbClass cls, QueryId id, const ClassSchema& schema,
   PrintIndented((*compiled)->logical.ToString());
   std::printf("   physical:\n");
   PrintIndented((*compiled)->physical.ToString());
-  if (sample_db != nullptr) {
-    return ProfileOne(id, **compiled, *sample_db);
+  if (sample_engine != nullptr) {
+    return ProfileOne(id, **compiled, *sample_engine);
   }
   return true;
 }
@@ -320,21 +311,29 @@ bool VerifyOne(DbClass cls, QueryId id, const ClassSchema& schema,
   return ok;
 }
 
-/// Loads the canonical sample database for `cls` into a native engine and
-/// creates the class's Table 3 value indexes plus one text index, then
-/// hands back the engine's planner-facing catalog snapshot (xqlint
-/// --explain --indexes). Null on load failure (reported to stderr).
-std::unique_ptr<xbench::xquery::plan::IndexCatalog> BuildCatalog(
-    DbClass cls, const xbench::datagen::GeneratedDatabase& sample_db) {
-  xbench::engines::NativeEngine engine;
-  xbench::Status loaded =
-      engine.BulkLoad(cls, xbench::workload::ToLoadDocuments(sample_db));
+/// Loads the canonical sample database for `cls` into a native engine
+/// (xqlint --explain --profile runs its plans there). Null on load failure
+/// (reported to stderr).
+std::unique_ptr<xbench::engines::NativeEngine> LoadSample(DbClass cls) {
+  auto engine = std::make_unique<xbench::engines::NativeEngine>();
+  xbench::Status loaded = engine->BulkLoad(
+      cls, xbench::workload::ToLoadDocuments(xbench::datagen::Generate(
+               cls, xbench::analysis::CanonicalSampleConfig())));
   if (!loaded.ok()) {
     std::fprintf(stderr, "sample load failed for %s: %s\n",
                  xbench::datagen::DbClassName(cls),
                  loaded.ToString().c_str());
     return nullptr;
   }
+  return engine;
+}
+
+/// Creates the class's Table 3 value indexes plus one text index on the
+/// sample engine, then hands back its planner-facing catalog snapshot
+/// (xqlint --explain --indexes, --verify). Null on failure (reported to
+/// stderr).
+std::unique_ptr<xbench::xquery::plan::IndexCatalog> BuildCatalog(
+    DbClass cls, xbench::engines::NativeEngine& engine) {
   xbench::Status indexed =
       xbench::workload::CreateTable3Indexes(engine, cls);
   if (!indexed.ok()) {
@@ -425,14 +424,17 @@ int main(int argc, char** argv) {
       std::printf(" %s", root.c_str());
     }
     std::printf(")\n");
-    xbench::datagen::GeneratedDatabase sample_db;
+    std::unique_ptr<xbench::engines::NativeEngine> sample_engine;
     if (profile || indexes || verify) {
-      sample_db =
-          xbench::datagen::Generate(cls, xbench::analysis::CanonicalSampleConfig());
+      sample_engine = LoadSample(cls);
+      if (sample_engine == nullptr) {
+        ++failures;
+        continue;
+      }
     }
     std::unique_ptr<xbench::xquery::plan::IndexCatalog> catalog;
     if (indexes || verify) {
-      catalog = BuildCatalog(cls, sample_db);
+      catalog = BuildCatalog(cls, *sample_engine);
       if (catalog == nullptr) {
         ++failures;
         continue;
@@ -445,7 +447,7 @@ int main(int argc, char** argv) {
         }
       } else if (explain) {
         if (!ExplainOne(cls, id, schema, params, catalog.get(),
-                        profile ? &sample_db : nullptr)) {
+                        profile ? sample_engine.get() : nullptr)) {
           ++failures;
         }
       } else if (!LintOne(cls, id, schema, params, verbose)) {
