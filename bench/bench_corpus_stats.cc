@@ -10,6 +10,7 @@
 #include "stats/corpus_analyzer.h"
 #include "stats/fitting.h"
 #include "workload/classes.h"
+#include "xml/parser.h"
 
 int main() {
   using namespace xbench;
@@ -24,8 +25,16 @@ int main() {
     datagen::GeneratedDatabase db = datagen::Generate(cls, config);
 
     stats::CorpusAnalyzer analyzer(datagen::DbClassName(cls));
+    std::vector<xml::Document> docs;
     for (const datagen::GeneratedDocument& doc : db.documents) {
-      analyzer.AddDocument(doc.dom, doc.text.size());
+      auto parsed = xml::Parse(doc.text, doc.name);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s: %s\n", doc.name.c_str(),
+                     parsed.status().ToString().c_str());
+        return 1;
+      }
+      analyzer.AddDocument(*parsed, doc.text.size());
+      docs.push_back(std::move(parsed).value());
     }
     const stats::CorpusStats& s = analyzer.stats();
     std::printf("%s\n", s.ToRow().c_str());
@@ -54,10 +63,9 @@ int main() {
     for (const Edge& edge : kEdges) {
       if (edge.cls != cls) continue;
       std::vector<int64_t> samples;
-      for (const datagen::GeneratedDocument& doc : db.documents) {
+      for (const xml::Document& doc : docs) {
         auto part =
-            stats::OccurrenceSamples(*doc.dom.root(), edge.parent,
-                                     edge.child);
+            stats::OccurrenceSamples(*doc.root(), edge.parent, edge.child);
         samples.insert(samples.end(), part.begin(), part.end());
       }
       if (samples.empty()) continue;

@@ -7,6 +7,7 @@
 #include "datagen/generator.h"
 #include "stats/corpus_analyzer.h"
 #include "workload/classes.h"
+#include "xml/parser.h"
 #include "xml/schema_summary.h"
 
 int main() {
@@ -32,7 +33,13 @@ int main() {
     xml::SchemaSummary summary;
     size_t limit = 50;  // enough instances to see optional children
     for (const datagen::GeneratedDocument& doc : db.documents) {
-      summary.AddDocument(doc.dom);
+      auto parsed = xml::Parse(doc.text, doc.name);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s: %s\n", doc.name.c_str(),
+                     parsed.status().ToString().c_str());
+        return 1;
+      }
+      summary.AddDocument(*parsed);
       if (--limit == 0) break;
     }
     std::printf("\n== %s ==\n", figures[figure_index++]);

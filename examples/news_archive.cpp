@@ -8,6 +8,7 @@
 #include "engines/native_engine.h"
 #include "workload/queries.h"
 #include "workload/runner.h"
+#include "xml/parser.h"
 #include "xml/schema_summary.h"
 
 int main() {
@@ -25,7 +26,12 @@ int main() {
   // Derive the corpus schema from instances (paper Figure 2).
   xml::SchemaSummary summary;
   for (size_t i = 0; i < db.documents.size() && i < 20; ++i) {
-    summary.AddDocument(db.documents[i].dom);
+    auto parsed = xml::Parse(db.documents[i].text, db.documents[i].name);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
+      return 1;
+    }
+    summary.AddDocument(*parsed);
   }
   std::printf("derived schema (first 20 articles):\n%s\n",
               summary.ToTree().c_str());

@@ -17,6 +17,7 @@
 #include "engines/native_engine.h"
 #include "workload/classes.h"
 #include "workload/runner.h"
+#include "xml/parser.h"
 #include "xml/schema_summary.h"
 
 namespace {
@@ -69,7 +70,12 @@ int main(int argc, char** argv) {
     if (query == "\\schema" || query == "\\dtd") {
       xml::SchemaSummary summary;
       for (size_t i = 0; i < db.documents.size() && i < 50; ++i) {
-        summary.AddDocument(db.documents[i].dom);
+        auto parsed = xml::Parse(db.documents[i].text, db.documents[i].name);
+        if (!parsed.ok()) {
+          std::printf("parse: %s\n", parsed.status().ToString().c_str());
+          break;
+        }
+        summary.AddDocument(*parsed);
       }
       std::fputs(query == "\\schema" ? summary.ToTree().c_str()
                                      : summary.ToDtd().c_str(),

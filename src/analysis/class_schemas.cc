@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 
+#include "xml/parser.h"
+
 namespace xbench::analysis {
 namespace {
 
@@ -15,6 +17,19 @@ namespace {
 constexpr uint64_t kSampleBytes = 96 * 1024;
 constexpr uint64_t kSampleSeed = 42;
 
+/// The sample's text always parses and its inferred DTD always round-trips
+/// through our parser (datagen_test and dtd_test assert both for every
+/// class), so a failure is a programming error. Continuing with an empty
+/// summary or DTD would turn every later analysis into misleading
+/// unknown-name errors.
+[[noreturn]] void ParseFailed(const char* what, datagen::DbClass cls,
+                              const Status& status) {
+  std::fprintf(stderr,
+               "xbench: canonical %s for class %s failed to parse: %s\n", what,
+               datagen::DbClassName(cls), status.ToString().c_str());
+  std::abort();
+}
+
 std::unique_ptr<ClassSchema> BuildSchema(datagen::DbClass cls) {
   const datagen::GeneratedDatabase db =
       datagen::Generate(cls, CanonicalSampleConfig());
@@ -22,21 +37,14 @@ std::unique_ptr<ClassSchema> BuildSchema(datagen::DbClass cls) {
   auto schema = std::make_unique<ClassSchema>();
   schema->seeds = db.seeds;
   for (const datagen::GeneratedDocument& doc : db.documents) {
-    schema->summary.AddDocument(doc.dom);
+    auto parsed = xml::Parse(doc.text, doc.name);
+    if (!parsed.ok()) ParseFailed("sample document", cls, parsed.status());
+    schema->summary.AddDocument(*parsed);
   }
   schema->roots = schema->summary.RootTypes();
   schema->dtd_text = schema->summary.ToDtd();
   auto dtd = xml::Dtd::Parse(schema->dtd_text);
-  if (!dtd.ok()) {
-    // The inferred DTD always round-trips through our parser (dtd_test
-    // asserts this for every class); a failure here is a programming
-    // error, and continuing with an empty DTD would turn every later
-    // analysis into misleading unknown-name errors.
-    std::fprintf(stderr,
-                 "xbench: canonical DTD for class %s failed to parse: %s\n",
-                 datagen::DbClassName(cls), dtd.status().ToString().c_str());
-    std::abort();
-  }
+  if (!dtd.ok()) ParseFailed("DTD", cls, dtd.status());
   schema->dtd = std::move(dtd).value();
   return schema;
 }

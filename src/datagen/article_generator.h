@@ -2,11 +2,10 @@
 #define XBENCH_DATAGEN_ARTICLE_GENERATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/random.h"
+#include "datagen/generator.h"
 #include "datagen/word_pool.h"
-#include "xml/node.h"
 
 namespace xbench::datagen {
 
@@ -28,12 +27,9 @@ namespace xbench::datagen {
 ///                    "Introduction" (Q4's anchor); sec = heading, p*, sec*
 ///     epilog?
 ///       references?  ref* @to other article ids
-struct ArticlesResult {
-  std::vector<xml::Document> docs;
-  int64_t article_num = 0;
-};
-
-ArticlesResult GenerateArticles(uint64_t target_bytes, uint64_t seed,
+///
+/// Returns the articles and `seeds.article_count` ("article_num").
+GeneratedDatabase GenerateArticles(uint64_t target_bytes, uint64_t seed,
                                 const WordPool& words);
 
 std::string ArticleId(int64_t n);

@@ -4,7 +4,6 @@
 
 #include "tpcw/mapping.h"
 #include "tpcw/populate.h"
-#include "xml/serializer.h"
 
 namespace xbench::datagen {
 namespace {
@@ -21,14 +20,13 @@ tpcw::PopulateScale CatalogScale(int64_t items) {
 
 }  // namespace
 
-CatalogResult GenerateCatalog(uint64_t target_bytes, uint64_t seed,
+GeneratedDatabase GenerateCatalog(uint64_t target_bytes, uint64_t seed,
                               const WordPool& words) {
   // Pilot run to measure bytes per item under this seed's distributions.
   constexpr int64_t kPilotItems = 64;
   tpcw::TpcwData pilot =
       tpcw::Populate(CatalogScale(kPilotItems), seed, words);
-  const uint64_t pilot_bytes =
-      xml::Serialize(tpcw::BuildCatalog(pilot)).size();
+  const uint64_t pilot_bytes = tpcw::BuildCatalog(pilot).text.size();
   const double bytes_per_item =
       static_cast<double>(pilot_bytes) / static_cast<double>(kPilotItems);
 
@@ -36,11 +34,14 @@ CatalogResult GenerateCatalog(uint64_t target_bytes, uint64_t seed,
       8, static_cast<int64_t>(static_cast<double>(target_bytes) /
                               bytes_per_item));
 
-  CatalogResult result;
-  result.item_num = items;
-  result.data = tpcw::Populate(CatalogScale(items), seed, words);
-  result.doc = tpcw::BuildCatalog(result.data);
-  return result;
+  const tpcw::TpcwData data =
+      tpcw::Populate(CatalogScale(items), seed, words);
+  GeneratedDatabase db;
+  db.documents.push_back(tpcw::BuildCatalog(data));
+  db.seeds.item_count = items;
+  db.seeds.author_count = static_cast<int64_t>(data.authors.size());
+  db.seeds.country_count = static_cast<int64_t>(data.countries.size());
+  return db;
 }
 
 }  // namespace xbench::datagen

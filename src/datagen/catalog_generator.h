@@ -3,23 +3,17 @@
 
 #include <cstdint>
 
+#include "datagen/generator.h"
 #include "datagen/word_pool.h"
-#include "tpcw/rows.h"
-#include "xml/node.h"
 
 namespace xbench::datagen {
 
 /// DC/SD: one catalog.xml produced by populating the TPC-W-like tables and
 /// applying the join-nesting mapping. The item count is solved against the
 /// target size by generating a pilot batch, measuring bytes/item, then
-/// re-populating at the solved cardinality.
-struct CatalogResult {
-  xml::Document doc;
-  tpcw::TpcwData data;   // the relational source (kept for tests/benches)
-  int64_t item_num = 0;
-};
-
-CatalogResult GenerateCatalog(uint64_t target_bytes, uint64_t seed,
+/// re-populating at the solved cardinality. Returns the document and the
+/// item, author and country counts in `seeds`.
+GeneratedDatabase GenerateCatalog(uint64_t target_bytes, uint64_t seed,
                               const WordPool& words);
 
 }  // namespace xbench::datagen

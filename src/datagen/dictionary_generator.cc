@@ -2,7 +2,6 @@
 
 #include "common/strings.h"
 #include "datagen/template_engine.h"
-#include "xml/serializer.h"
 
 namespace xbench::datagen {
 
@@ -101,25 +100,28 @@ std::unique_ptr<TemplateNode> BuildEntryTemplate(const WordPool& words) {
 
 }  // namespace
 
-DictionaryResult GenerateDictionary(uint64_t target_bytes, uint64_t seed,
+GeneratedDatabase GenerateDictionary(uint64_t target_bytes, uint64_t seed,
                                     const WordPool& words) {
   Rng rng(seed ^ 0xD1C7ull);
   GenContext ctx(rng, words);
   auto entry_template = BuildEntryTemplate(words);
 
-  DictionaryResult result;
-  result.doc = xml::Document("dictionary.xml");
-  xml::Node* root = result.doc.CreateRoot("dictionary");
+  xml::Writer out;
+  out.Open("dictionary");
   uint64_t bytes = 2 * (sizeof("dictionary") + 4);
   int64_t entry_num = 0;
   while (bytes < target_bytes) {
-    const xml::Node* entry = Instantiate(*entry_template, ctx, *root);
-    bytes += xml::Serialize(*entry).size();
+    const size_t before = out.size();
+    Instantiate(*entry_template, ctx, out);
+    bytes += out.size() - before;
     ++entry_num;
   }
-  result.doc.AssignOrder();
-  result.entry_num = entry_num;
-  return result;
+  out.Close();
+
+  GeneratedDatabase db;
+  db.documents.push_back({"dictionary.xml", out.TakeText()});
+  db.seeds.entry_count = entry_num;
+  return db;
 }
 
 }  // namespace xbench::datagen

@@ -4,8 +4,8 @@
 #include <cstdint>
 
 #include "common/random.h"
+#include "datagen/generator.h"
 #include "datagen/word_pool.h"
-#include "xml/node.h"
 
 namespace xbench::datagen {
 
@@ -27,12 +27,9 @@ namespace xbench::datagen {
 ///             qd      quotation date       (Q11 sort key)
 ///             qloc?   quotation location   (Q3 group key)
 ///       ss?       synonyms: ref* @to="E......" cross-references
-struct DictionaryResult {
-  xml::Document doc;
-  int64_t entry_num = 0;
-};
-
-DictionaryResult GenerateDictionary(uint64_t target_bytes, uint64_t seed,
+///
+/// Returns the one document and `seeds.entry_count` ("entry_num").
+GeneratedDatabase GenerateDictionary(uint64_t target_bytes, uint64_t seed,
                                     const WordPool& words);
 
 /// Number of distinct qloc location strings (Q3's group-by domain).

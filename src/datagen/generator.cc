@@ -5,7 +5,6 @@
 #include "datagen/dictionary_generator.h"
 #include "datagen/order_generator.h"
 #include "datagen/word_pool.h"
-#include "xml/serializer.h"
 
 namespace xbench::datagen {
 
@@ -23,65 +22,27 @@ const char* DbClassName(DbClass cls) {
   return "?";
 }
 
-namespace {
-
-GeneratedDocument Pack(xml::Document doc) {
-  GeneratedDocument out;
-  out.name = doc.name();
-  out.text = xml::Serialize(doc);
-  out.dom = std::move(doc);
-  return out;
-}
-
-}  // namespace
-
 GeneratedDatabase Generate(DbClass cls, const GenConfig& config) {
   // One shared vocabulary per database keeps workload parameter selection
   // (word ranks) stable across classes.
   WordPool words;
 
   GeneratedDatabase db;
-  db.db_class = cls;
   switch (cls) {
-    case DbClass::kTcSd: {
-      DictionaryResult r =
-          GenerateDictionary(config.target_bytes, config.seed, words);
-      db.seeds.entry_count = r.entry_num;
-      db.documents.push_back(Pack(std::move(r.doc)));
+    case DbClass::kTcSd:
+      db = GenerateDictionary(config.target_bytes, config.seed, words);
       break;
-    }
-    case DbClass::kTcMd: {
-      ArticlesResult r =
-          GenerateArticles(config.target_bytes, config.seed, words);
-      db.seeds.article_count = r.article_num;
-      db.documents.reserve(r.docs.size());
-      for (xml::Document& doc : r.docs) {
-        db.documents.push_back(Pack(std::move(doc)));
-      }
+    case DbClass::kTcMd:
+      db = GenerateArticles(config.target_bytes, config.seed, words);
       break;
-    }
-    case DbClass::kDcSd: {
-      CatalogResult r =
-          GenerateCatalog(config.target_bytes, config.seed, words);
-      db.seeds.item_count = r.item_num;
-      db.seeds.author_count = static_cast<int64_t>(r.data.authors.size());
-      db.seeds.country_count = static_cast<int64_t>(r.data.countries.size());
-      db.documents.push_back(Pack(std::move(r.doc)));
+    case DbClass::kDcSd:
+      db = GenerateCatalog(config.target_bytes, config.seed, words);
       break;
-    }
-    case DbClass::kDcMd: {
-      OrdersResult r = GenerateOrders(config.target_bytes, config.seed, words);
-      db.seeds.order_count = r.order_num;
-      db.seeds.customer_count = r.customer_num;
-      db.seeds.item_count = r.item_num;
-      db.seeds.country_count = static_cast<int64_t>(r.data.countries.size());
-      db.documents.reserve(r.docs.size());
-      for (xml::Document& doc : r.docs) {
-        db.documents.push_back(Pack(std::move(doc)));
-      }
+    case DbClass::kDcMd:
+      db = GenerateOrders(config.target_bytes, config.seed, words);
       break;
-    }
   }
+  db.db_class = cls;
   for (const GeneratedDocument& doc : db.documents) {
     db.total_bytes += doc.text.size();
   }

@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "xml/node.h"
-
 namespace xbench::datagen {
 
 /// The four XBench database classes (paper Table 1).
@@ -27,11 +25,10 @@ struct GenConfig {
   uint64_t seed = 42;
 };
 
-/// One generated XML file (name + serialized text + parsed tree).
+/// One generated XML file: its name and its compact XML text.
 struct GeneratedDocument {
   std::string name;
   std::string text;
-  xml::Document dom;
 };
 
 /// Knobs the workload uses to derive deterministic query parameters

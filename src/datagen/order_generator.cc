@@ -4,7 +4,6 @@
 
 #include "tpcw/mapping.h"
 #include "tpcw/populate.h"
-#include "xml/serializer.h"
 
 namespace xbench::datagen {
 namespace {
@@ -19,40 +18,36 @@ tpcw::PopulateScale OrderScale(int64_t orders) {
   return scale;
 }
 
-uint64_t TotalBytes(const std::vector<xml::Document>& docs) {
-  uint64_t bytes = 0;
-  for (const xml::Document& doc : docs) {
-    bytes += xml::Serialize(doc).size();
-  }
-  return bytes;
-}
-
 }  // namespace
 
-OrdersResult GenerateOrders(uint64_t target_bytes, uint64_t seed,
-                            const WordPool& words) {
+GeneratedDatabase GenerateOrders(uint64_t target_bytes, uint64_t seed,
+                                 const WordPool& words) {
   constexpr int64_t kPilotOrders = 64;
   tpcw::TpcwData pilot = tpcw::Populate(OrderScale(kPilotOrders), seed, words);
-  std::vector<xml::Document> pilot_orders = tpcw::BuildOrderDocuments(pilot);
-  std::vector<xml::Document> pilot_flat = tpcw::BuildFlatDocuments(pilot);
-  const double bytes_per_order =
-      static_cast<double>(TotalBytes(pilot_orders) + TotalBytes(pilot_flat)) /
-      static_cast<double>(kPilotOrders);
+  uint64_t pilot_bytes = 0;
+  for (const auto& docs :
+       {tpcw::BuildOrderDocuments(pilot), tpcw::BuildFlatDocuments(pilot)}) {
+    for (const GeneratedDocument& doc : docs) pilot_bytes += doc.text.size();
+  }
+  const double bytes_per_order = static_cast<double>(pilot_bytes) /
+                                 static_cast<double>(kPilotOrders);
 
   const int64_t orders = std::max<int64_t>(
       8, static_cast<int64_t>(static_cast<double>(target_bytes) /
                               bytes_per_order));
 
-  OrdersResult result;
-  result.order_num = orders;
   const tpcw::PopulateScale scale = OrderScale(orders);
-  result.customer_num = scale.customers;
-  result.item_num = scale.items;
-  result.data = tpcw::Populate(scale, seed, words);
-  result.docs = tpcw::BuildOrderDocuments(result.data);
-  std::vector<xml::Document> flat = tpcw::BuildFlatDocuments(result.data);
-  for (xml::Document& doc : flat) result.docs.push_back(std::move(doc));
-  return result;
+  const tpcw::TpcwData data = tpcw::Populate(scale, seed, words);
+  GeneratedDatabase db;
+  db.documents = tpcw::BuildOrderDocuments(data);
+  for (GeneratedDocument& doc : tpcw::BuildFlatDocuments(data)) {
+    db.documents.push_back(std::move(doc));
+  }
+  db.seeds.order_count = orders;
+  db.seeds.customer_count = scale.customers;
+  db.seeds.item_count = scale.items;
+  db.seeds.country_count = static_cast<int64_t>(data.countries.size());
+  return db;
 }
 
 }  // namespace xbench::datagen

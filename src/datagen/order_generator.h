@@ -2,27 +2,18 @@
 #define XBENCH_DATAGEN_ORDER_GENERATOR_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "datagen/generator.h"
 #include "datagen/word_pool.h"
-#include "tpcw/rows.h"
-#include "xml/node.h"
 
 namespace xbench::datagen {
 
 /// DC/MD: many small orderXXX.xml documents (flat-translation class) plus
 /// the five flat table documents (Customer/Item/Author/Address/Country)
 /// that Q19 joins against. Order count is solved against the target size
-/// with a pilot batch.
-struct OrdersResult {
-  std::vector<xml::Document> docs;  // orders first, then the 5 flat docs
-  tpcw::TpcwData data;
-  int64_t order_num = 0;
-  int64_t customer_num = 0;
-  int64_t item_num = 0;
-};
-
-OrdersResult GenerateOrders(uint64_t target_bytes, uint64_t seed,
+/// with a pilot batch. Returns the orders, then the flat documents, and the
+/// order, customer, item and country counts in `seeds`.
+GeneratedDatabase GenerateOrders(uint64_t target_bytes, uint64_t seed,
                             const WordPool& words);
 
 }  // namespace xbench::datagen

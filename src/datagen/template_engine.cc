@@ -3,17 +3,15 @@
 namespace xbench::datagen {
 namespace {
 
-xml::Node* InstantiateRec(const TemplateNode& tmpl, GenContext& ctx,
-                          std::map<const TemplateNode*, int>& depth,
-                          xml::Node& parent) {
-  xml::Node* element = parent.AddElement(tmpl.name);
+void InstantiateRec(const TemplateNode& tmpl, GenContext& ctx,
+                    std::map<const TemplateNode*, int>& depth,
+                    xml::Writer& out) {
+  out.Open(tmpl.name);
   for (const AttrTemplate& attr : tmpl.attrs) {
     if (attr.presence < 1.0 && !ctx.rng().NextBool(attr.presence)) continue;
-    element->SetAttribute(attr.name, attr.value(ctx));
+    out.Attribute(attr.name, attr.value(ctx));
   }
-  if (tmpl.text && tmpl.text_first) {
-    element->AddText(tmpl.text(ctx));
-  }
+  if (tmpl.text) out.Text(tmpl.text(ctx));
   for (const TemplateNode::Child& child : tmpl.children) {
     if (child.presence < 1.0 && !ctx.rng().NextBool(child.presence)) continue;
     const TemplateNode& child_tmpl = child.node();
@@ -22,14 +20,11 @@ xml::Node* InstantiateRec(const TemplateNode& tmpl, GenContext& ctx,
     ++d;
     const int64_t n = child.count ? child.count->Sample(ctx.rng()) : 1;
     for (int64_t i = 0; i < n; ++i) {
-      InstantiateRec(child_tmpl, ctx, depth, *element);
+      InstantiateRec(child_tmpl, ctx, depth, out);
     }
     --d;
   }
-  if (tmpl.text && !tmpl.text_first) {
-    element->AddText(tmpl.text(ctx));
-  }
-  return element;
+  out.Close();
 }
 
 }  // namespace
@@ -63,10 +58,9 @@ void TemplateNode::SetAttr(std::string attr_name, ValueGen gen,
   attrs.push_back({std::move(attr_name), std::move(gen), presence});
 }
 
-xml::Node* Instantiate(const TemplateNode& tmpl, GenContext& ctx,
-                       xml::Node& parent) {
+void Instantiate(const TemplateNode& tmpl, GenContext& ctx, xml::Writer& out) {
   std::map<const TemplateNode*, int> depth;
-  return InstantiateRec(tmpl, ctx, depth, parent);
+  InstantiateRec(tmpl, ctx, depth, out);
 }
 
 }  // namespace xbench::datagen

@@ -10,7 +10,7 @@
 #include "common/random.h"
 #include "datagen/word_pool.h"
 #include "stats/distribution.h"
-#include "xml/node.h"
+#include "xml/serializer.h"
 
 namespace xbench::datagen {
 
@@ -54,10 +54,8 @@ struct AttrTemplate {
 struct TemplateNode {
   std::string name;
   std::vector<AttrTemplate> attrs;
-  /// Text content generator (applied after child elements when mixed).
+  /// Text content generator; the text precedes any child elements.
   ValueGen text;
-  /// When set, text is emitted *before* children (heading-like elements).
-  bool text_first = true;
 
   struct Child {
     /// Either an owned child template or a (possibly recursive) reference.
@@ -84,10 +82,8 @@ struct TemplateNode {
   void SetAttr(std::string attr_name, ValueGen gen, double presence = 1.0);
 };
 
-/// Instantiates one element from the template as the last child of
-/// `parent` (allocated from the parent's arena) and returns it.
-xml::Node* Instantiate(const TemplateNode& tmpl, GenContext& ctx,
-                       xml::Node& parent);
+/// Instantiates one element from the template and writes it to `out`.
+void Instantiate(const TemplateNode& tmpl, GenContext& ctx, xml::Writer& out);
 
 }  // namespace xbench::datagen
 

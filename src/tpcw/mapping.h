@@ -3,8 +3,8 @@
 
 #include <vector>
 
+#include "datagen/generator.h"
 #include "tpcw/rows.h"
-#include "xml/node.h"
 
 namespace xbench::tpcw {
 
@@ -12,15 +12,17 @@ namespace xbench::tpcw {
 /// base table; AUTHOR(+AUTHOR_2+ADDRESS+COUNTRY) and PUBLISHER tuples are
 /// nested under their items via foreign keys, producing one deep
 /// catalog.xml.
-xml::Document BuildCatalog(const TpcwData& data);
+datagen::GeneratedDocument BuildCatalog(const TpcwData& data);
 
 /// DC/MD: ORDERS ⋈ ORDER_LINE ⋈ CC_XACTS mapped to one orderXXX.xml per
 /// order (Figure 4).
-std::vector<xml::Document> BuildOrderDocuments(const TpcwData& data);
+std::vector<datagen::GeneratedDocument> BuildOrderDocuments(
+    const TpcwData& data);
 
 /// DC/MD: flat translation (FT) of CUSTOMER, ITEM, AUTHOR, ADDRESS and
 /// COUNTRY into one flat document each (tuple -> element, column -> leaf).
-std::vector<xml::Document> BuildFlatDocuments(const TpcwData& data);
+std::vector<datagen::GeneratedDocument> BuildFlatDocuments(
+    const TpcwData& data);
 
 }  // namespace xbench::tpcw
 

@@ -34,12 +34,6 @@ void Node::AddText(std::string_view content) {
   AppendChild(arena_->NewText(content));
 }
 
-Node* Node::AddSimple(std::string_view name, std::string_view content) {
-  Node* child = AddElement(name);
-  child->AddText(content);
-  return child;
-}
-
 Node* Node::AppendCopy(const Node& source) {
   Node* copy = source.CloneInto(*arena_);
   AppendChild(copy);
@@ -184,43 +178,6 @@ Document& Document::operator=(Document&& other) noexcept {
     node_count_ = std::exchange(other.node_count_, 0);
   }
   return *this;
-}
-
-Node* Document::CreateRoot(std::string_view element_name) {
-  if (arena_ == nullptr) arena_ = std::make_unique<Arena>();
-  root_ = arena_->NewElement(element_name);
-  by_order_ = nullptr;
-  node_count_ = 0;
-  return root_;
-}
-
-namespace {
-
-void AssignOrderRec(Node* node, const Node** by_order, uint32_t& count) {
-  by_order[count++] = node;
-  node->set_order(count);
-  for (Node* child : node->children()) {
-    AssignOrderRec(child, by_order, count);
-  }
-}
-
-}  // namespace
-
-void Document::AssignOrder() {
-  node_count_ = 0;
-  if (root_ == nullptr) return;
-  by_order_ = arena_->AllocateArray<const Node*>(root_->SubtreeSize());
-  AssignOrderRec(root_, by_order_, node_count_);
-}
-
-Document Document::Clone() const {
-  Document copy(name_);
-  if (root_ != nullptr) {
-    copy.arena_ = std::make_unique<Arena>(arena_->reserved_bytes());
-    copy.root_ = root_->CloneInto(*copy.arena_);
-    copy.AssignOrder();
-  }
-  return copy;
 }
 
 }  // namespace xbench::xml

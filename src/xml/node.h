@@ -37,8 +37,9 @@ struct Attribute {
 /// Arena (see xml/arena.h) and die with it; `parent` is a back pointer into
 /// the same tree. Nodes are never created or destroyed on their own, so
 /// they are trivially destructible. Document order ids are pre-order
-/// numbers from 1, assigned by the parser or Document::AssignOrder(), and
-/// the query engine sorts node sequences into document order by them.
+/// numbers from 1, assigned by the parser (and by the evaluator for the
+/// trees it constructs), and the query engine sorts node sequences into
+/// document order by them.
 class Node {
  public:
   NodeKind kind() const { return kind_; }
@@ -72,8 +73,6 @@ class Node {
   Node* AddElement(std::string_view name);
   /// Appends a text node; empty content adds nothing.
   void AddText(std::string_view content);
-  /// Convenience: appends `<name>text</name>`.
-  Node* AddSimple(std::string_view name, std::string_view content);
   /// Appends a deep copy of `source` (from any arena) and returns it.
   Node* AppendCopy(const Node& source);
 
@@ -112,7 +111,6 @@ class Node {
 
  private:
   friend class Arena;
-  friend class Document;
   friend class ParserImpl;
 
   Node(Arena* arena, NodeKind kind, const std::string* name)
@@ -160,29 +158,17 @@ class Document {
   Document& operator=(Document&& other) noexcept;
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   const Node* root() const { return root_; }
   Node* root() { return root_; }
-  /// Creates the root element in this document's arena, replacing any
-  /// previous root. Builders add the tree under it, then call
-  /// AssignOrder().
-  Node* CreateRoot(std::string_view element_name);
 
-  /// (Re)assigns document-order ids (pre-order, starting at 1) and
-  /// rebuilds the NodeAt table. The parser does this as it goes.
-  void AssignOrder();
-
-  /// Total node count (elements + text nodes) as of the last parse or
-  /// AssignOrder().
+  /// Total node count (elements + text nodes), numbered by the parser.
   size_t NodeCount() const { return node_count_; }
   /// The node with pre-order id `order`; nullptr when out of range.
   const Node* NodeAt(uint32_t order) const {
     return order >= 1 && order <= node_count_ ? by_order_[order - 1]
                                               : nullptr;
   }
-
-  Document Clone() const;
 
  private:
   friend class ParserImpl;

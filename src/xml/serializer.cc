@@ -1,5 +1,10 @@
 #include "xml/serializer.h"
 
+#include <cassert>
+#include <utility>
+
+#include "xml/node.h"
+
 namespace xbench::xml {
 namespace {
 
@@ -88,7 +93,6 @@ std::string EscapeAttribute(std::string_view text) {
 
 std::string Serialize(const Node& node, const SerializeOptions& options) {
   std::string out;
-  if (options.declaration) out += "<?xml version=\"1.0\"?>\n";
   SerializeRec(node, options, 0, out);
   return out;
 }
@@ -96,6 +100,59 @@ std::string Serialize(const Node& node, const SerializeOptions& options) {
 std::string Serialize(const Document& doc, const SerializeOptions& options) {
   if (doc.root() == nullptr) return "";
   return Serialize(*doc.root(), options);
+}
+
+void Writer::EndStartTag() {
+  if (!tag_open_) return;
+  out_.push_back('>');
+  tag_open_ = false;
+}
+
+void Writer::Open(std::string_view name) {
+  EndStartTag();
+  out_.push_back('<');
+  out_ += name;
+  open_.emplace_back(name);
+  tag_open_ = true;
+}
+
+void Writer::Attribute(std::string_view name, std::string_view value) {
+  assert(tag_open_);
+  out_.push_back(' ');
+  out_ += name;
+  out_ += "=\"";
+  AppendEscaped(value, /*attribute=*/true, out_);
+  out_.push_back('"');
+}
+
+void Writer::Text(std::string_view text) {
+  if (text.empty()) return;
+  EndStartTag();
+  AppendEscaped(text, /*attribute=*/false, out_);
+}
+
+void Writer::Close() {
+  assert(!open_.empty());
+  if (tag_open_) {
+    out_ += "/>";
+    tag_open_ = false;
+  } else {
+    out_ += "</";
+    out_ += open_.back();
+    out_.push_back('>');
+  }
+  open_.pop_back();
+}
+
+void Writer::Simple(std::string_view name, std::string_view text) {
+  Open(name);
+  Text(text);
+  Close();
+}
+
+std::string Writer::TakeText() {
+  assert(open_.empty());
+  return std::exchange(out_, {});
 }
 
 }  // namespace xbench::xml

@@ -2,18 +2,19 @@
 #define XBENCH_XML_SERIALIZER_H_
 
 #include <string>
-
-#include "xml/node.h"
+#include <string_view>
+#include <vector>
 
 namespace xbench::xml {
+
+class Document;
+class Node;
 
 struct SerializeOptions {
   /// Pretty-print with 2-space indentation. Indentation inserts whitespace
   /// text that the parser strips back out (when an element has element
   /// children), so compact mode is the round-trip-exact mode.
   bool indent = false;
-  /// Emit an `<?xml version="1.0"?>` declaration.
-  bool declaration = false;
 };
 
 /// Serializes a subtree to XML text. Escapes <, >, &, and quotes in
@@ -28,6 +29,39 @@ std::string EscapeText(std::string_view text);
 
 /// Escapes an attribute value (<, >, &, ").
 std::string EscapeAttribute(std::string_view text);
+
+/// Writes compact XML text element by element, so a generator emits a
+/// document without building its tree. Calls nest like the elements: Open,
+/// then its Attribute calls, then its Text and child elements, then Close.
+/// The output is what Serialize prints for the tree the same calls would
+/// build: an element with no content closes as `<x/>`, and empty text adds
+/// nothing.
+class Writer {
+ public:
+  void Open(std::string_view name);
+  /// Only between Open and the element's first content.
+  void Attribute(std::string_view name, std::string_view value);
+  void Text(std::string_view text);
+  void Close();
+  /// `<name>text</name>`, or `<name/>` when `text` is empty.
+  void Simple(std::string_view name, std::string_view text);
+
+  /// Length of the text so far. A start tag still open counts its `>`, so
+  /// the difference of the sizes around a child element is its length.
+  size_t size() const { return out_.size() + (tag_open_ ? 1 : 0); }
+
+  /// The text written; every element must be closed. Leaves the writer
+  /// empty.
+  std::string TakeText();
+
+ private:
+  /// Ends the innermost start tag with `>` before its first content.
+  void EndStartTag();
+
+  std::string out_;
+  std::vector<std::string> open_;
+  bool tag_open_ = false;
+};
 
 }  // namespace xbench::xml
 

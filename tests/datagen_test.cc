@@ -16,6 +16,24 @@ namespace {
 
 constexpr uint64_t kTestBytes = 96 * 1024;
 
+/// Parses generated or written text; a parse error fails the test.
+xml::Document ParseText(const std::string& text) {
+  auto parsed = xml::Parse(text, "t.xml");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.ok() ? std::move(parsed).value() : xml::Document();
+}
+
+/// Writes `count` instances of `tmpl` under a `<parent>` element and
+/// parses the result.
+xml::Document InstantiateUnderParent(const TemplateNode& tmpl, GenContext& ctx,
+                                     int count) {
+  xml::Writer out;
+  out.Open("parent");
+  for (int i = 0; i < count; ++i) Instantiate(tmpl, ctx, out);
+  out.Close();
+  return ParseText(out.TakeText());
+}
+
 // --- WordPool ----------------------------------------------------------------
 
 TEST(WordPoolTest, DeterministicWords) {
@@ -74,8 +92,9 @@ TEST(TemplateEngineTest, CountsAndPresence) {
   child->text = [](GenContext&) { return std::string("x"); };
   root.AddChild("opt", nullptr, /*presence=*/0.0);
 
-  xml::Document doc("t.xml");
-  auto node = Instantiate(root, ctx, *doc.CreateRoot("parent"));
+  const xml::Document doc = InstantiateUnderParent(root, ctx, 1);
+  ASSERT_EQ(doc.root()->children().size(), 1u);
+  const xml::Node* node = doc.root()->children()[0];
   const size_t n = node->Children("c").size();
   EXPECT_GE(n, 2u);
   EXPECT_LE(n, 4u);
@@ -91,13 +110,11 @@ TEST(TemplateEngineTest, AttributesAndCounters) {
   root.SetAttr("id", [](GenContext& c) {
     return "N" + std::to_string(c.NextCounter("n"));
   });
-  xml::Document doc("t.xml");
-  xml::Node* parent = doc.CreateRoot("parent");
-  auto first = Instantiate(root, ctx, *parent);
-  auto second = Instantiate(root, ctx, *parent);
-  EXPECT_EQ(parent->children().size(), 2u);
-  EXPECT_EQ(*first->FindAttribute("id"), "N1");
-  EXPECT_EQ(*second->FindAttribute("id"), "N2");
+  const xml::Document doc = InstantiateUnderParent(root, ctx, 2);
+  const auto children = doc.root()->children();
+  ASSERT_EQ(children.size(), 2u);
+  EXPECT_EQ(*children[0]->FindAttribute("id"), "N1");
+  EXPECT_EQ(*children[1]->FindAttribute("id"), "N2");
 }
 
 TEST(TemplateEngineTest, RecursionBounded) {
@@ -107,8 +124,9 @@ TEST(TemplateEngineTest, RecursionBounded) {
   TemplateNode sec;
   sec.name = "sec";
   sec.AddRef(&sec, stats::MakeUniform(1, 1), 1.0, /*max_depth=*/3);
-  xml::Document doc("t.xml");
-  const xml::Node* cur = Instantiate(sec, ctx, *doc.CreateRoot("parent"));
+  const xml::Document doc = InstantiateUnderParent(sec, ctx, 1);
+  const xml::Node* cur = doc.root()->FirstChild("sec");
+  ASSERT_NE(cur, nullptr);
   int depth = 1;
   while ((cur = cur->FirstChild("sec")) != nullptr) ++depth;
   // The root plus max_depth levels of self-reference.
@@ -119,31 +137,31 @@ TEST(TemplateEngineTest, RecursionBounded) {
 
 TEST(DictionaryTest, SizeAndStructure) {
   WordPool words;
-  DictionaryResult result = GenerateDictionary(kTestBytes, 42, words);
-  EXPECT_GT(result.entry_num, 10);
-  EXPECT_EQ(result.doc.root()->name(), "dictionary");
-  const auto entries = result.doc.root()->Children("entry");
-  EXPECT_EQ(static_cast<int64_t>(entries.size()), result.entry_num);
+  GeneratedDatabase result = GenerateDictionary(kTestBytes, 42, words);
+  EXPECT_GT(result.seeds.entry_count, 10);
+  ASSERT_EQ(result.documents.size(), 1u);
+  EXPECT_EQ(result.documents[0].name, "dictionary.xml");
+  const xml::Document doc = ParseText(result.documents[0].text);
+  EXPECT_EQ(doc.root()->name(), "dictionary");
+  const auto entries = doc.root()->Children("entry");
+  EXPECT_EQ(static_cast<int64_t>(entries.size()), result.seeds.entry_count);
 
   // Headwords and ids follow the deterministic naming scheme.
   EXPECT_EQ(entries[0]->FirstChild("hw")->TextContent(),
             DictionaryHeadword(1));
   EXPECT_EQ(*entries[0]->FindAttribute("id"), DictionaryEntryId(1));
 
-  const std::string text = xml::Serialize(result.doc);
-  EXPECT_GE(text.size(), kTestBytes);
-  EXPECT_LT(text.size(), kTestBytes * 2);
-  // Output is well-formed.
-  EXPECT_TRUE(xml::CheckWellFormed(text).ok());
+  EXPECT_GE(result.documents[0].text.size(), kTestBytes);
+  EXPECT_LT(result.documents[0].text.size(), kTestBytes * 2);
 }
 
 TEST(DictionaryTest, DeterministicForSeed) {
   WordPool words;
   auto a = GenerateDictionary(32 * 1024, 7, words);
   auto b = GenerateDictionary(32 * 1024, 7, words);
-  EXPECT_EQ(xml::Serialize(a.doc), xml::Serialize(b.doc));
+  EXPECT_EQ(a.documents[0].text, b.documents[0].text);
   auto c = GenerateDictionary(32 * 1024, 8, words);
-  EXPECT_NE(xml::Serialize(a.doc), xml::Serialize(c.doc));
+  EXPECT_NE(a.documents[0].text, c.documents[0].text);
 }
 
 TEST(DictionaryTest, EntriesHaveSensesAndQuotes) {
@@ -152,7 +170,8 @@ TEST(DictionaryTest, EntriesHaveSensesAndQuotes) {
   int with_sense = 0;
   int with_quote = 0;
   int with_mixed_qt = 0;
-  for (const xml::Node* entry : result.doc.root()->Children("entry")) {
+  const xml::Document doc = ParseText(result.documents[0].text);
+  for (const xml::Node* entry : doc.root()->Children("entry")) {
     if (entry->FirstChild("sn") != nullptr) ++with_sense;
     bool quote = false;
     bool mixed = false;
@@ -166,8 +185,8 @@ TEST(DictionaryTest, EntriesHaveSensesAndQuotes) {
     if (quote) ++with_quote;
     if (mixed) ++with_mixed_qt;
   }
-  EXPECT_EQ(with_sense, result.entry_num);  // >=1 sense each
-  EXPECT_GT(with_quote, result.entry_num / 3);
+  EXPECT_EQ(with_sense, result.seeds.entry_count);  // >=1 sense each
+  EXPECT_GT(with_quote, result.seeds.entry_count / 3);
   EXPECT_GT(with_mixed_qt, 0);  // mixed content exists (paper problem 3)
 }
 
@@ -175,10 +194,11 @@ TEST(DictionaryTest, CrossReferencesPointToExistingEntries) {
   WordPool words;
   auto result = GenerateDictionary(kTestBytes, 42, words);
   std::set<std::string> ids;
-  for (const xml::Node* entry : result.doc.root()->Children("entry")) {
+  const xml::Document doc = ParseText(result.documents[0].text);
+  for (const xml::Node* entry : doc.root()->Children("entry")) {
     ids.insert(std::string(*entry->FindAttribute("id")));
   }
-  result.doc.root()->Visit([&](const xml::Node& n) {
+  doc.root()->Visit([&](const xml::Node& n) {
     if (n.is_element() && n.name() == "ref") {
       const std::string_view* to = n.FindAttribute("to");
       ASSERT_NE(to, nullptr);
@@ -191,10 +211,12 @@ TEST(DictionaryTest, CrossReferencesPointToExistingEntries) {
 
 TEST(ArticlesTest, CollectionShape) {
   WordPool words;
-  ArticlesResult result = GenerateArticles(kTestBytes, 42, words);
-  EXPECT_GT(result.article_num, 5);
-  EXPECT_EQ(static_cast<int64_t>(result.docs.size()), result.article_num);
-  for (const xml::Document& doc : result.docs) {
+  GeneratedDatabase result = GenerateArticles(kTestBytes, 42, words);
+  EXPECT_GT(result.seeds.article_count, 5);
+  EXPECT_EQ(static_cast<int64_t>(result.documents.size()),
+            result.seeds.article_count);
+  for (const GeneratedDocument& generated : result.documents) {
+    const xml::Document doc = ParseText(generated.text);
     EXPECT_EQ(doc.root()->name(), "article");
     ASSERT_NE(doc.root()->FirstChild("prolog"), nullptr);
     ASSERT_NE(doc.root()->FirstChild("body"), nullptr);
@@ -204,7 +226,8 @@ TEST(ArticlesTest, CollectionShape) {
 TEST(ArticlesTest, FirstSectionIsIntroduction) {
   WordPool words;
   auto result = GenerateArticles(kTestBytes, 42, words);
-  for (const xml::Document& doc : result.docs) {
+  for (const GeneratedDocument& generated : result.documents) {
+    const xml::Document doc = ParseText(generated.text);
     const xml::Node* body = doc.root()->FirstChild("body");
     const auto secs = body->Children("sec");
     ASSERT_FALSE(secs.empty());
@@ -216,15 +239,15 @@ TEST(ArticlesTest, WellKnownAuthorAppearsPeriodically) {
   WordPool words;
   auto result = GenerateArticles(kTestBytes, 42, words);
   int count = 0;
-  for (const xml::Document& doc : result.docs) {
-    doc.root()->Visit([&](const xml::Node& n) {
+  for (const GeneratedDocument& generated : result.documents) {
+    ParseText(generated.text).root()->Visit([&](const xml::Node& n) {
       if (n.is_element() && n.name() == "name" &&
           n.TextContent() == WellKnownAuthor()) {
         ++count;
       }
     });
   }
-  EXPECT_GE(count, result.article_num / kWellKnownAuthorStride);
+  EXPECT_GE(count, result.seeds.article_count / kWellKnownAuthorStride);
 }
 
 TEST(ArticlesTest, ContactIrregularityExists) {
@@ -233,8 +256,8 @@ TEST(ArticlesTest, ContactIrregularityExists) {
   int absent = 0;
   int empty = 0;
   int populated = 0;
-  for (const xml::Document& doc : result.docs) {
-    doc.root()->Visit([&](const xml::Node& n) {
+  for (const GeneratedDocument& generated : result.documents) {
+    ParseText(generated.text).root()->Visit([&](const xml::Node& n) {
       if (!n.is_element() || n.name() != "author") return;
       const xml::Node* contact = n.FirstChild("contact");
       if (contact == nullptr) {
@@ -255,8 +278,8 @@ TEST(ArticlesTest, SectionsNestRecursively) {
   WordPool words;
   auto result = GenerateArticles(4 * kTestBytes, 42, words);
   bool nested = false;
-  for (const xml::Document& doc : result.docs) {
-    doc.root()->Visit([&](const xml::Node& n) {
+  for (const GeneratedDocument& generated : result.documents) {
+    ParseText(generated.text).root()->Visit([&](const xml::Node& n) {
       if (n.is_element() && n.name() == "sec" &&
           n.FirstChild("sec") != nullptr) {
         nested = true;
@@ -322,7 +345,7 @@ TEST(GenerateTest, TextCentricityDistinguishesClasses) {
     GeneratedDatabase db = Generate(cls, config);
     stats::CorpusAnalyzer analyzer(DbClassName(cls));
     for (const GeneratedDocument& doc : db.documents) {
-      analyzer.AddDocument(doc.dom, doc.text.size());
+      analyzer.AddDocument(ParseText(doc.text), doc.text.size());
     }
     return analyzer.stats().TextRatio();
   };

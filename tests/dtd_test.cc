@@ -107,22 +107,31 @@ TEST_F(DtdValidateTest, RejectsViolations) {
 /// against it.
 class InferredDtdTest : public ::testing::TestWithParam<datagen::DbClass> {};
 
+std::vector<Document> ParseAll(const datagen::GeneratedDatabase& db) {
+  std::vector<Document> docs;
+  for (const datagen::GeneratedDocument& doc : db.documents) {
+    auto parsed = Parse(doc.text, doc.name);
+    EXPECT_TRUE(parsed.ok()) << doc.name << ": " << parsed.status().ToString();
+    if (parsed.ok()) docs.push_back(std::move(parsed).value());
+  }
+  return docs;
+}
+
 TEST_P(InferredDtdTest, GeneratedDataValidatesAgainstInferredDtd) {
   datagen::GenConfig config;
   config.target_bytes = 96 * 1024;
   config.seed = 42;
   datagen::GeneratedDatabase db = datagen::Generate(GetParam(), config);
 
+  std::vector<Document> docs = ParseAll(db);
   SchemaSummary summary;
-  for (const datagen::GeneratedDocument& doc : db.documents) {
-    summary.AddDocument(doc.dom);
-  }
+  for (const Document& doc : docs) summary.AddDocument(doc);
   auto dtd = Dtd::Parse(summary.ToDtd());
   ASSERT_TRUE(dtd.ok()) << dtd.status().ToString() << "\n" << summary.ToDtd();
 
-  for (const datagen::GeneratedDocument& doc : db.documents) {
-    Status status = dtd->Validate(*doc.dom.root());
-    EXPECT_TRUE(status.ok()) << doc.name << ": " << status.ToString();
+  for (const Document& doc : docs) {
+    Status status = dtd->Validate(*doc.root());
+    EXPECT_TRUE(status.ok()) << doc.name() << ": " << status.ToString();
   }
 }
 
@@ -131,15 +140,14 @@ TEST_P(InferredDtdTest, MutatedDocumentFailsValidation) {
   config.target_bytes = 32 * 1024;
   config.seed = 42;
   datagen::GeneratedDatabase db = datagen::Generate(GetParam(), config);
+  std::vector<Document> docs = ParseAll(db);
   SchemaSummary summary;
-  for (const datagen::GeneratedDocument& doc : db.documents) {
-    summary.AddDocument(doc.dom);
-  }
+  for (const Document& doc : docs) summary.AddDocument(doc);
   auto dtd = Dtd::Parse(summary.ToDtd());
   ASSERT_TRUE(dtd.ok());
 
-  // Injecting an alien element must be caught.
-  xml::Document mutated = db.documents[0].dom.Clone();
+  // Injecting an alien element into a parsed copy must be caught.
+  Document& mutated = docs[0];
   mutated.root()->AddElement("alien_element_xyz");
   EXPECT_FALSE(dtd->Validate(*mutated.root()).ok());
 }

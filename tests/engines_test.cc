@@ -9,6 +9,7 @@
 #include "workload/runner.h"
 #include "oracle.h"
 #include "xml/parser.h"
+#include "xml/serializer.h"
 #include "xquery/parser.h"
 #include "xquery/plan/cache.h"
 
@@ -225,11 +226,11 @@ TEST(ClobEngineTest, LoadsMdAndFetchesIntactDocuments) {
   auto db = SmallDb(DbClass::kDcMd);
   ASSERT_TRUE(engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
 
-  // The fetched document equals the original, byte for byte semantics.
+  // The fetched document serializes back to the original text.
   const auto& original = db.documents[0];
   auto fetched = engine.FetchDocument(original.name);
   ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
-  EXPECT_TRUE((*fetched)->root()->StructurallyEquals(*original.dom.root()));
+  EXPECT_EQ(xml::Serialize(*(*fetched)->root()), original.text);
 }
 
 TEST(ClobEngineTest, SideTablesPopulatedWithSeqno) {

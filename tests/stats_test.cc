@@ -184,7 +184,9 @@ TEST(FittingTest, GeneratorParametersRecoveredFromGeneratedData) {
   // mean close to that from the generated corpus.
   datagen::WordPool words;
   auto result = datagen::GenerateDictionary(256 * 1024, 42, words);
-  auto samples = stats::OccurrenceSamples(*result.doc.root(), "entry", "sn");
+  auto doc = xml::Parse(result.documents[0].text, result.documents[0].name);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto samples = stats::OccurrenceSamples(*doc->root(), "entry", "sn");
   ASSERT_GT(samples.size(), 50u);
   Fit fit = FitDistribution(samples);
   EXPECT_NEAR(fit.mean, 2.2, 0.4) << fit.ToString();

@@ -51,6 +51,7 @@
 #include "oracle.h"
 #include "relational/table.h"
 #include "workload/runner.h"
+#include "xml/parser.h"
 #include "xquery/plan/cache.h"
 
 namespace {
@@ -146,9 +147,18 @@ void CollectExpected(const xbench::xml::Node& node,
 
 /// Validates the shredded relational image: for every mapped (table,
 /// column), the non-NULL values in the table must equal (as a multiset)
-/// the values the DAD extraction yields from the source DOMs.
+/// the values the DAD extraction yields from the parsed source documents.
 void CheckShredImage(xbench::engines::ShredEngine& shred,
                      const xbench::datagen::GeneratedDatabase& db) {
+  std::vector<xbench::xml::Document> sources;
+  for (const auto& doc : db.documents) {
+    auto parsed = xbench::xml::Parse(doc.text, doc.name);
+    if (!parsed.ok()) {
+      Fail("<shred image>", "generated document does not parse", doc.name,
+           parsed.status().ToString());
+    }
+    sources.push_back(std::move(parsed).value());
+  }
   xbench::ReaderLock lock(shred.collection_mu());
   const xbench::engines::Dad& dad = shred.dad();
   size_t columns_checked = 0;
@@ -160,8 +170,8 @@ void CheckShredImage(xbench::engines::ShredEngine& shred,
     for (size_t ci = 0; ci < map.columns.size(); ++ci) {
       const auto& col = map.columns[ci];
       std::vector<std::string> expected;
-      for (const auto& doc : db.documents) {
-        CollectExpected(*doc.dom.root(), map, col, expected);
+      for (const xbench::xml::Document& doc : sources) {
+        CollectExpected(*doc.root(), map, col, expected);
       }
       std::vector<std::string> actual;
       const size_t row_index =
@@ -176,7 +186,7 @@ void CheckShredImage(xbench::engines::ShredEngine& shred,
       std::sort(actual.begin(), actual.end());
       if (expected != actual) {
         Fail("<shred image " + map.table + "." + col.column + ">",
-             "shredded column != DAD extraction over source DOMs",
+             "shredded column != DAD extraction over source documents",
              "expected " + std::to_string(expected.size()) + " values: " +
                  Join(expected).substr(0, 500),
              "actual " + std::to_string(actual.size()) + " values: " +

@@ -65,7 +65,7 @@ fi
 
 cmake --build "$BUILD" -j"$(nproc)" \
       --target core_tests xquery_tests plan_tests system_tests xqlint \
-      bench_query json_check parse_golden \
+      bench_query json_check parse_golden answer_hashes \
       fuzz_xml_parser fuzz_dtd fuzz_xquery fuzz_json plan_differential_fuzz
 
 "$BUILD/tests/core_tests"
@@ -97,6 +97,12 @@ XBENCH_REPORT="$BUILD/asan_query_report.json" \
 "$BUILD/tools/parse_golden" "$ROOT/fuzz/corpus/xml" \
   "$ROOT/fuzz/regressions/xml" > "$BUILD/xml_parse_actual.txt"
 cmp "$ROOT/tools/golden/xml_parse.txt" "$BUILD/xml_parse_actual.txt"
+
+# The generator golden sanitized: every class at three sizes is written
+# through xml::Writer under the sanitizer, and every document's size and
+# hash must still match.
+"$BUILD/tools/answer_hashes" --text > "$BUILD/datagen_text_actual.txt"
+cmp "$ROOT/tools/golden/datagen_text.txt" "$BUILD/datagen_text_actual.txt"
 
 # Fuzz corpus + regression inputs replayed through all four harnesses
 # under the sanitizer, then a short deterministic mutation loop in each

@@ -30,9 +30,10 @@
 #      derived-property golden.
 #   7. The repo-convention linter (tools/xbench_lint): raw std::mutex
 #      use, DESIGN.md §9 <-> LockRank table drift, unregistered
-#      xbench.* metric names, stale [[deprecated]] shims, and interpreter
+#      xbench.* metric names, stale [[deprecated]] shims, interpreter
 #      calls (xquery::Evaluate / EvaluateQuery) in src/ outside
-#      src/xquery/.
+#      src/xquery/, and any XML tree (xml/node.h, xml::Document,
+#      xml::Node) in the generators, src/datagen/ and src/tpcw/.
 #   8. A -DCMAKE_BUILD_TYPE=Release build of the whole tree, so the
 #      optimized build keeps compiling under the repo-wide -Werror (GCC's
 #      -O3 inlining raises warnings the default build never sees).

@@ -32,6 +32,11 @@
 //                     in src/ outside src/xquery/. Engines and the
 //                     workload run compiled plans only; the tree-walking
 //                     interpreter is the tests' differential oracle.
+//   6. no-builder-dom No `#include "xml/node.h"` and no `xml::Document` or
+//                     `xml::Node` in src/datagen/ or src/tpcw/. The
+//                     generators write XML text through xml::Writer; a
+//                     tree built only to be serialized is the memory
+//                     cost this rule keeps out.
 //
 // Usage: xbench_lint [--repo-root <dir>]
 // Exit: 0 clean, 1 violations (one "file:line: rule: …" line each),
@@ -437,6 +442,40 @@ void CheckInterpreterCalls(const fs::path& root) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule 6: the generators write text; no tree in src/datagen/ or src/tpcw/.
+
+void CheckBuilderDom(const fs::path& root) {
+  for (const fs::path& path : SourceFiles(root, {"src/datagen", "src/tpcw"})) {
+    const std::string rel = Rel(root, path);
+    const std::string text = ReadFile(path);
+    const std::vector<std::string> lines = SplitLines(text);
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].find("#include") != std::string::npos &&
+          lines[i].find("\"xml/node.h\"") != std::string::npos) {
+        Violation(rel, i + 1, "no-builder-dom",
+                  "xml/node.h included; write text with xml::Writer");
+      }
+    }
+    const std::string code = StripCommentsAndStrings(text);
+    for (const char* token : {"xml::Document", "xml::Node"}) {
+      for (size_t pos = code.find(token); pos != std::string::npos;
+           pos = code.find(token, pos + 1)) {
+        // Skip a longer identifier starting with the token (`xml::NodeKind`).
+        const size_t end = pos + std::strlen(token);
+        if (end < code.size() &&
+            (std::isalnum(static_cast<unsigned char>(code[end])) ||
+             code[end] == '_')) {
+          continue;
+        }
+        Violation(rel, LineOf(code, pos), "no-builder-dom",
+                  std::string(token) +
+                      " in a generator; write text with xml::Writer");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -459,6 +498,7 @@ int main(int argc, char** argv) {
   CheckMetricNames(root);
   CheckDeprecatedShims(root);
   CheckInterpreterCalls(root);
+  CheckBuilderDom(root);
   if (g_violations > 0) {
     std::fprintf(stderr, "xbench_lint: %d violation(s)\n", g_violations);
     return 1;
