@@ -30,7 +30,7 @@ namespace xbench::datagen {
 ///
 /// Returns the articles and `seeds.article_count` ("article_num").
 GeneratedDatabase GenerateArticles(uint64_t target_bytes, uint64_t seed,
-                                const WordPool& words);
+                                   const WordPool& words);
 
 std::string ArticleId(int64_t n);
 std::string ArticleFileName(int64_t n);

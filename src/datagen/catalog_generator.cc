@@ -21,7 +21,7 @@ tpcw::PopulateScale CatalogScale(int64_t items) {
 }  // namespace
 
 GeneratedDatabase GenerateCatalog(uint64_t target_bytes, uint64_t seed,
-                              const WordPool& words) {
+                                  const WordPool& words) {
   // Pilot run to measure bytes per item under this seed's distributions.
   constexpr int64_t kPilotItems = 64;
   tpcw::TpcwData pilot =

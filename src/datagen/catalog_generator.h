@@ -14,7 +14,7 @@ namespace xbench::datagen {
 /// re-populating at the solved cardinality. Returns the document and the
 /// item, author and country counts in `seeds`.
 GeneratedDatabase GenerateCatalog(uint64_t target_bytes, uint64_t seed,
-                              const WordPool& words);
+                                  const WordPool& words);
 
 }  // namespace xbench::datagen
 

@@ -101,7 +101,7 @@ std::unique_ptr<TemplateNode> BuildEntryTemplate(const WordPool& words) {
 }  // namespace
 
 GeneratedDatabase GenerateDictionary(uint64_t target_bytes, uint64_t seed,
-                                    const WordPool& words) {
+                                     const WordPool& words) {
   Rng rng(seed ^ 0xD1C7ull);
   GenContext ctx(rng, words);
   auto entry_template = BuildEntryTemplate(words);

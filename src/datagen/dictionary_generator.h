@@ -30,7 +30,7 @@ namespace xbench::datagen {
 ///
 /// Returns the one document and `seeds.entry_count` ("entry_num").
 GeneratedDatabase GenerateDictionary(uint64_t target_bytes, uint64_t seed,
-                                    const WordPool& words);
+                                     const WordPool& words);
 
 /// Number of distinct qloc location strings (Q3's group-by domain).
 inline constexpr int kQuoteLocationCount = 40;

@@ -14,7 +14,7 @@ namespace xbench::datagen {
 /// with a pilot batch. Returns the orders, then the flat documents, and the
 /// order, customer, item and country counts in `seeds`.
 GeneratedDatabase GenerateOrders(uint64_t target_bytes, uint64_t seed,
-                            const WordPool& words);
+                                 const WordPool& words);
 
 }  // namespace xbench::datagen
 

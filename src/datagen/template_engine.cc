@@ -58,7 +58,8 @@ void TemplateNode::SetAttr(std::string attr_name, ValueGen gen,
   attrs.push_back({std::move(attr_name), std::move(gen), presence});
 }
 
-void Instantiate(const TemplateNode& tmpl, GenContext& ctx, xml::Writer& out) {
+void Instantiate(const TemplateNode& tmpl, GenContext& ctx,
+                 xml::Writer& out) {
   std::map<const TemplateNode*, int> depth;
   InstantiateRec(tmpl, ctx, depth, out);
 }
