@@ -103,7 +103,7 @@ std::unique_ptr<TemplateNode> BuildEntryTemplate(const WordPool& words) {
 GeneratedDatabase GenerateDictionary(uint64_t target_bytes, uint64_t seed,
                                      const WordPool& words) {
   Rng rng(seed ^ 0xD1C7ull);
-  GenContext ctx(rng, words);
+  GenContext ctx(rng);
   auto entry_template = BuildEntryTemplate(words);
 
   xml::Writer out;

@@ -8,21 +8,19 @@
 #include <vector>
 
 #include "common/random.h"
-#include "datagen/word_pool.h"
 #include "stats/distribution.h"
 #include "xml/serializer.h"
 
 namespace xbench::datagen {
 
-/// Shared state threaded through a generation run: the random stream, the
-/// vocabulary, and named counters (ToXgene's "gene counters") used for
-/// sequential identifiers and cross-references.
+/// Shared state threaded through a generation run: the random stream and
+/// named counters (ToXgene's "gene counters") used for sequential
+/// identifiers and cross-references.
 class GenContext {
  public:
-  GenContext(Rng& rng, const WordPool& words) : rng_(rng), words_(words) {}
+  explicit GenContext(Rng& rng) : rng_(rng) {}
 
   Rng& rng() { return rng_; }
-  const WordPool& words() const { return words_; }
 
   /// Post-incremented named counter (starts at 1).
   int64_t NextCounter(const std::string& name) { return ++counters_[name]; }
@@ -33,7 +31,6 @@ class GenContext {
 
  private:
   Rng& rng_;
-  const WordPool& words_;
   std::map<std::string, int64_t> counters_;
 };
 

@@ -1,5 +1,7 @@
 #include "engines/clob_engine.h"
 
+#include <utility>
+
 #include "common/strings.h"
 #include "engines/shredder.h"
 #include "obs/metrics.h"
@@ -17,15 +19,34 @@ ClobEngine::ClobEngine(uint64_t max_document_bytes)
 Status ClobEngine::BulkLoad(datagen::DbClass db_class,
                             const std::vector<LoadDocument>& docs) {
   WriterLock lock(collection_mu_);
-  db_class_ = db_class;
-  dad_ = ClobSideTablesFor(db_class);
-  if (dad_.tables.empty()) {
+  Dad dad = ClobSideTablesFor(db_class);
+  if (dad.tables.empty()) {
     return Status::Unsupported(
         std::string(datagen::DbClassName(db_class)) +
         ": single-document class exceeds the XML column CLOB limit");
   }
-  XBENCH_RETURN_IF_ERROR(CreateDadTables(dad_, *database_));
+  XBENCH_RETURN_IF_ERROR(CreateDadTables(dad, *database_));
+  // All or nothing: a failed load takes back the tables it created, its
+  // CLOBs and its registry entries.
+  const Dad previous_dad = std::exchange(dad_, std::move(dad));
+  const datagen::DbClass previous_class = std::exchange(db_class_, db_class);
+  const std::map<std::string, storage::RecordId> previous_registry = registry_;
+  const uint64_t clob_bytes = clob_file_->size_bytes();
+  const uint64_t clob_records = clob_file_->record_count();
+  const int64_t first_row_id = next_row_id_;
+  const Status status = LoadLocked(docs);
+  if (!status.ok()) {
+    DropDadTables(dad_, *database_);
+    dad_ = previous_dad;
+    db_class_ = previous_class;
+    registry_ = previous_registry;
+    clob_file_->Truncate(clob_bytes, clob_records);
+    next_row_id_ = first_row_id;
+  }
+  return status;
+}
 
+Status ClobEngine::LoadLocked(const std::vector<LoadDocument>& docs) {
   obs::ScopedClockSource clock_scope(disk_->clock());
   obs::ScopedSpan load_span("clob.bulkload");
   obs::Counter& docs_loaded =

@@ -93,6 +93,10 @@ class ClobEngine : public XmlDbms {
   void ColdRestartLocked() override XBENCH_REQUIRES(collection_mu_);
 
  private:
+  /// Stores, shreds and commits `docs` into the tables BulkLoad created.
+  Status LoadLocked(const std::vector<LoadDocument>& docs)
+      XBENCH_REQUIRES(collection_mu_);
+
   uint64_t max_document_bytes_;
   // clob_file_ is set once in the constructor; record access goes through
   // the registry under the collection lock.

@@ -91,6 +91,49 @@ void NativeEngine::IndexDocument(size_t ordinal, const xml::Node& root) {
   }
 }
 
+void NativeEngine::UnindexDocument(size_t ordinal, const xml::Node& root) {
+  path_index_.RemoveDocument(root);
+  if (text_index_ != nullptr) text_index_->RemoveDocument(ordinal);
+  for (auto& [name, index] : value_indexes_) {
+    for (const auto& [value, order] : ExtractIndexPostings(root, index.path)) {
+      index.tree->Erase({relational::Value::String(value)},
+                        PackNodeRid(ordinal, order));
+    }
+  }
+}
+
+NativeEngine::LoadMark NativeEngine::MarkLoadLocked() const {
+  LoadMark mark;
+  mark.documents = registry_.size();
+  mark.heap_bytes = file_->size_bytes();
+  mark.heap_records = file_->record_count();
+  mark.db_class = db_class_;
+  for (const auto& [name, index] : value_indexes_) {
+    mark.single_valued[name] = index.single_valued;
+  }
+  return mark;
+}
+
+void NativeEngine::RollBackLoadLocked(const std::vector<LoadDocument>& docs,
+                                      const LoadMark& mark) {
+  for (size_t ordinal = mark.documents; ordinal < registry_.size();
+       ++ordinal) {
+    // Only a failed load pays this second parse.
+    auto parsed = xml::Parse(docs[ordinal - mark.documents].text,
+                             registry_[ordinal].name);
+    if (parsed.ok()) UnindexDocument(ordinal, *parsed->root());
+  }
+  live_count_.fetch_sub(registry_.size() - mark.documents,
+                        std::memory_order_relaxed);
+  registry_.resize(mark.documents);
+  file_->Truncate(mark.heap_bytes, mark.heap_records);
+  db_class_ = mark.db_class;
+  for (const auto& [name, single_valued] : mark.single_valued) {
+    value_indexes_[name].single_valued = single_valued;
+  }
+  RefreshCatalogLocked();
+}
+
 Status NativeEngine::BulkLoad(datagen::DbClass db_class,
                               const std::vector<LoadDocument>& docs) {
   WriterLock lock(collection_mu_);
@@ -98,6 +141,7 @@ Status NativeEngine::BulkLoad(datagen::DbClass db_class,
   obs::ScopedSpan load_span("native.bulkload");
   obs::Counter& docs_loaded =
       obs::MetricsRegistry::Default().GetCounter("xbench.engine.docs_loaded");
+  const LoadMark mark = MarkLoadLocked();
   db_class_ = db_class;
   plan_cache_.Invalidate();
   for (const LoadDocument& doc : docs) {
@@ -111,9 +155,8 @@ Status NativeEngine::BulkLoad(datagen::DbClass db_class,
       obs::ScopedSpan parse_span("parse");
       auto parsed = xml::Parse(doc.text, doc.name);
       if (!parsed.ok()) {
-        // The documents before this one stay loaded; keep the guide and
-        // the catalog covering them.
-        RefreshCatalogLocked();
+        // All or nothing: the collection answers as before the call.
+        RollBackLoadLocked(docs, mark);
         return parsed.status();
       }
       obs::ScopedSpan index_span("index");
@@ -129,8 +172,8 @@ Status NativeEngine::BulkLoad(datagen::DbClass db_class,
       disk_->clock().AdvanceMicros(kPerDocumentIngestMicros);
     }
     live_count_.fetch_add(1, std::memory_order_relaxed);
-    docs_loaded.Increment();
   }
+  docs_loaded.Increment(docs.size());
   {
     obs::ScopedSpan flush_span("flush");
     pool_->FlushAll();
@@ -162,15 +205,7 @@ Status NativeEngine::DeleteDocument(const std::string& name) {
     // Erase index entries (including the always-on structural index)
     // before dropping the document.
     XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc, Materialize(ordinal));
-    path_index_.RemoveDocument(*doc->root());
-    if (text_index_ != nullptr) text_index_->RemoveDocument(ordinal);
-    for (auto& [index_name, index] : value_indexes_) {
-      for (const auto& [value, order] :
-           ExtractIndexPostings(*doc->root(), index.path)) {
-        index.tree->Erase({relational::Value::String(value)},
-                          PackNodeRid(ordinal, order));
-      }
-    }
+    UnindexDocument(ordinal, *doc->root());
     entry.deleted = true;
     live_count_.fetch_sub(1, std::memory_order_relaxed);
     {

@@ -192,6 +192,28 @@ class NativeEngine : public XmlDbms {
   void IndexDocument(size_t ordinal, const xml::Node& root)
       XBENCH_REQUIRES(collection_mu_);
 
+  /// Erases one document's entries from every index structure.
+  void UnindexDocument(size_t ordinal, const xml::Node& root)
+      XBENCH_REQUIRES(collection_mu_);
+
+  /// What a BulkLoad call may append to; a failed load restores it.
+  struct LoadMark {
+    size_t documents = 0;
+    uint64_t heap_bytes = 0;
+    uint64_t heap_records = 0;
+    datagen::DbClass db_class = datagen::DbClass::kTcSd;
+    std::map<std::string, bool> single_valued;
+  };
+  LoadMark MarkLoadLocked() const XBENCH_REQUIRES(collection_mu_);
+
+  /// Takes back every document a failed BulkLoad of `docs` appended
+  /// after `mark`: index entries (re-parsed from `docs`), registry
+  /// entries, heap records and the live count; then refreshes the guide
+  /// and catalog.
+  void RollBackLoadLocked(const std::vector<LoadDocument>& docs,
+                          const LoadMark& mark)
+      XBENCH_REQUIRES(collection_mu_);
+
   /// Rebuilds the path guide if the path set changed, then the
   /// planner-facing catalog mirror from the live index structures, and
   /// bumps its epoch. Call after any mutation or DDL, while still holding

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "engines/shredder.h"
 #include "obs/metrics.h"
@@ -17,10 +18,23 @@ ShredEngine::ShredEngine(EngineKind kind) : kind_(kind) {
 Status ShredEngine::BulkLoad(datagen::DbClass db_class,
                              const std::vector<LoadDocument>& docs) {
   WriterLock lock(collection_mu_);
-  db_class_ = db_class;
-  dad_ = ShredDadFor(db_class);
-  XBENCH_RETURN_IF_ERROR(CreateDadTables(dad_, *database_));
+  Dad dad = ShredDadFor(db_class);
+  XBENCH_RETURN_IF_ERROR(CreateDadTables(dad, *database_));
+  // All or nothing: a failed load drops the tables it created.
+  const Dad previous_dad = std::exchange(dad_, std::move(dad));
+  const datagen::DbClass previous_class = std::exchange(db_class_, db_class);
+  const int64_t first_row_id = next_row_id_;
+  const Status status = ShredLocked(docs);
+  if (!status.ok()) {
+    DropDadTables(dad_, *database_);
+    dad_ = previous_dad;
+    db_class_ = previous_class;
+    next_row_id_ = first_row_id;
+  }
+  return status;
+}
 
+Status ShredEngine::ShredLocked(const std::vector<LoadDocument>& docs) {
   obs::ScopedClockSource clock_scope(disk_->clock());
   obs::ScopedSpan load_span("shred.bulkload");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();

@@ -63,6 +63,11 @@ class ShredEngine : public XmlDbms {
   bool maintains_order() const { return false; }
 
  private:
+  /// Shreds `docs` into the tables BulkLoad created, then builds their
+  /// key indexes.
+  Status ShredLocked(const std::vector<LoadDocument>& docs)
+      XBENCH_REQUIRES(collection_mu_);
+
   EngineKind kind_;
   std::unique_ptr<relational::Database> database_
       XBENCH_PT_GUARDED_BY(collection_mu_);

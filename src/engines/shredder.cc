@@ -27,6 +27,10 @@ Status CreateDadTables(const Dad& dad, relational::Database& db) {
   return Status::Ok();
 }
 
+void DropDadTables(const Dad& dad, relational::Database& db) {
+  for (const TableMap& map : dad.tables) db.DropTable(map.table);
+}
+
 std::pair<bool, std::string> ExtractRelPath(const xml::Node& element,
                                             const std::string& rel_path) {
   if (rel_path == ".") return {true, element.TextContent()};

@@ -25,6 +25,10 @@ struct ShredOptions {
 /// columns) in `db`.
 Status CreateDadTables(const Dad& dad, relational::Database& db);
 
+/// Drops the tables declared by `dad` from `db` (the undo of a failed bulk
+/// load, which created them).
+void DropDadTables(const Dad& dad, relational::Database& db);
+
 /// Column index bases within a DAD table row.
 inline constexpr int kColDoc = 0;
 inline constexpr int kColRowId = 1;

@@ -14,6 +14,15 @@ namespace xbench::harness {
 using datagen::DbClass;
 using workload::Scale;
 
+namespace {
+
+/// Whether the benchmark defines query `id` for `db_class`.
+bool Defines(workload::QueryId id, DbClass db_class) {
+  return !workload::XQueryFor(id, db_class, workload::QueryParams{}).empty();
+}
+
+}  // namespace
+
 const datagen::GeneratedDatabase& Driver::Database(DbClass db_class,
                                                    Scale scale) {
   const auto key =
@@ -76,7 +85,12 @@ ResultTable Driver::QueryTable(workload::QueryId id) {
   for (engines::EngineKind kind : workload::AllEngines()) {
     std::vector<std::string> cells;
     for (DbClass db_class : workload::AllClasses()) {
+      const bool defined = Defines(id, db_class);
       for (Scale scale : workload::AllScales()) {
+        if (!defined) {
+          cells.push_back("-");
+          continue;
+        }
         LoadedEngine& loaded = Loaded(kind, db_class, scale);
         if (!loaded.load_status.ok()) {
           cells.push_back("-");
@@ -144,6 +158,16 @@ std::string Driver::JsonReport(const ReportOptions& options) {
   const std::vector<Scale> scales = options.scales.empty()
                                         ? std::vector<Scale>{Scale::kSmall}
                                         : options.scales;
+  // A class that defines none of the queries gets no database.
+  std::vector<DbClass> classes;
+  for (DbClass db_class : workload::AllClasses()) {
+    for (QueryId id : queries) {
+      if (Defines(id, db_class)) {
+        classes.push_back(db_class);
+        break;
+      }
+    }
+  }
 
   obs::JsonWriter writer;
   writer.BeginObject();
@@ -162,7 +186,7 @@ std::string Driver::JsonReport(const ReportOptions& options) {
 
   writer.Key("cells").BeginArray();
   for (engines::EngineKind kind : workload::AllEngines()) {
-    for (DbClass db_class : workload::AllClasses()) {
+    for (DbClass db_class : classes) {
       for (Scale scale : scales) {
         LoadedEngine& loaded = Loaded(kind, db_class, scale);
         writer.BeginObject();

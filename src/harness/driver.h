@@ -45,6 +45,7 @@ class Driver {
   ResultTable BulkLoadTable();
 
   /// Tables 5-9: execution time of one benchmark query in milliseconds.
+  /// Classes that do not define the query show "-" and load nothing.
   ResultTable QueryTable(workload::QueryId id);
 
   /// Renders Table 3 (indexes per class).
@@ -67,7 +68,8 @@ class Driver {
   };
 
   /// Machine-readable run report (BENCH_RESULTS-style): one cell per
-  /// (engine, class, scale) with load timings, per-query timings, answer
+  /// (engine, class, scale), over the classes that define at least one of
+  /// the queries, with load timings, per-query timings, answer
   /// hashes, and buffer-pool/disk counters, plus a snapshot of the global
   /// metrics registry. Valid JSON by construction (tests parse it).
   std::string JsonReport(const ReportOptions& options);

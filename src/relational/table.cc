@@ -93,6 +93,8 @@ Result<Table*> Database::CreateTable(const std::string& name, Schema schema) {
   return raw;
 }
 
+void Database::DropTable(const std::string& name) { tables_.erase(name); }
+
 Table* Database::FindTable(const std::string& name) {
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();

@@ -80,6 +80,8 @@ class Database {
       : disk_(&disk), pool_(&pool) {}
 
   Result<Table*> CreateTable(const std::string& name, Schema schema);
+  /// Drops a table and its indexes (its disk pages stay allocated).
+  void DropTable(const std::string& name);
   Table* FindTable(const std::string& name);
   const Table* FindTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;

@@ -51,6 +51,12 @@ RecordId HeapFile::Append(std::string_view payload) {
   return id;
 }
 
+void HeapFile::Truncate(uint64_t size_bytes, uint64_t record_count) {
+  assert(size_bytes <= end_offset_ && record_count <= record_count_);
+  end_offset_ = size_bytes;
+  record_count_ = record_count;
+}
+
 std::string HeapFile::Read(RecordId id) {
   uint32_t length = 0;
   ReadBytes(id, &length, sizeof(length));

@@ -20,7 +20,8 @@ using RecordId = uint64_t;
 /// proportionally more I/O, which is what the benchmark measures.
 ///
 /// The workload is load-then-query (the paper defers updates to future
-/// versions), so deletion/update support is intentionally absent.
+/// versions), so deletion/update support is intentionally absent; only a
+/// failed load truncates what it appended.
 ///
 /// Thread safety: Read()/Scan() go through the pool's latched ReadAt()
 /// path and may run from any number of threads concurrently. Append()
@@ -42,6 +43,12 @@ class HeapFile {
   /// (id, payload); returning false stops the scan early. Safe to call
   /// concurrently.
   void Scan(const std::function<bool(RecordId, std::string_view)>& visit);
+
+  /// Drops every record appended since size_bytes() was `size_bytes` and
+  /// record_count() was `record_count`: the undo of a failed load. The
+  /// pages stay allocated, and later appends overwrite them. Requires
+  /// exclusive access.
+  void Truncate(uint64_t size_bytes, uint64_t record_count);
 
   uint64_t record_count() const { return record_count_; }
   uint64_t size_bytes() const { return end_offset_; }

@@ -68,13 +68,6 @@ void SchemaSummary::Accumulate(const Node& node, int depth) {
   }
 }
 
-std::vector<std::string> SchemaSummary::ElementTypes() const {
-  std::vector<std::string> out;
-  out.reserve(types_.size());
-  for (const auto& [name, info] : types_) out.push_back(name);
-  return out;
-}
-
 std::vector<std::string> SchemaSummary::AttributesOf(
     const std::string& element_type) const {
   auto it = types_.find(element_type);

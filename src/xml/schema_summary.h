@@ -40,9 +40,6 @@ class SchemaSummary {
   /// attributes are CDATA #REQUIRED/#IMPLIED by observed presence.
   std::string ToDtd() const;
 
-  /// All element type names seen.
-  std::vector<std::string> ElementTypes() const;
-
   /// Distinct document-root element types in first-seen order. Multi-root
   /// collections (DC/MD order documents plus flat tables) have several.
   const std::vector<std::string>& RootTypes() const { return root_types_; }

@@ -33,48 +33,17 @@ void AppendEscaped(std::string_view text, bool attribute, std::string& out) {
   }
 }
 
-void SerializeRec(const Node& node, const SerializeOptions& options, int depth,
-                  std::string& out) {
+void WriteRec(const Node& node, Writer& out) {
   if (node.is_text()) {
-    AppendEscaped(node.text(), /*attribute=*/false, out);
+    out.Text(node.text());
     return;
   }
-  auto indent = [&](int d) {
-    if (!options.indent) return;
-    out.push_back('\n');
-    out.append(static_cast<size_t>(d) * 2, ' ');
-  };
-
-  out.push_back('<');
-  out += node.name();
+  out.Open(node.name());
   for (const Attribute& attr : node.attributes()) {
-    out.push_back(' ');
-    out += attr.name;
-    out += "=\"";
-    AppendEscaped(attr.value, /*attribute=*/true, out);
-    out.push_back('"');
+    out.Attribute(attr.name, attr.value);
   }
-  if (node.children().empty()) {
-    out += "/>";
-    return;
-  }
-  out.push_back('>');
-
-  // Only indent children when none of them is a text node (mixed content
-  // must be emitted verbatim to preserve significance of whitespace).
-  bool has_text_child = false;
-  for (const auto& child : node.children()) {
-    if (child->is_text()) has_text_child = true;
-  }
-  const bool indent_children = options.indent && !has_text_child;
-  for (const auto& child : node.children()) {
-    if (indent_children) indent(depth + 1);
-    SerializeRec(*child, options, depth + 1, out);
-  }
-  if (indent_children) indent(depth);
-  out += "</";
-  out += node.name();
-  out.push_back('>');
+  for (const Node* child : node.children()) WriteRec(*child, out);
+  out.Close();
 }
 
 }  // namespace
@@ -91,15 +60,15 @@ std::string EscapeAttribute(std::string_view text) {
   return out;
 }
 
-std::string Serialize(const Node& node, const SerializeOptions& options) {
-  std::string out;
-  SerializeRec(node, options, 0, out);
-  return out;
+std::string Serialize(const Node& node) {
+  Writer out;
+  WriteRec(node, out);
+  return out.TakeText();
 }
 
-std::string Serialize(const Document& doc, const SerializeOptions& options) {
+std::string Serialize(const Document& doc) {
   if (doc.root() == nullptr) return "";
-  return Serialize(*doc.root(), options);
+  return Serialize(*doc.root());
 }
 
 void Writer::EndStartTag() {

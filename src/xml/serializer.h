@@ -10,19 +10,12 @@ namespace xbench::xml {
 class Document;
 class Node;
 
-struct SerializeOptions {
-  /// Pretty-print with 2-space indentation. Indentation inserts whitespace
-  /// text that the parser strips back out (when an element has element
-  /// children), so compact mode is the round-trip-exact mode.
-  bool indent = false;
-};
-
-/// Serializes a subtree to XML text. Escapes <, >, &, and quotes in
-/// attribute values.
-std::string Serialize(const Node& node, const SerializeOptions& options = {});
+/// Serializes a subtree to compact XML text through Writer. Escapes <, >,
+/// &, and quotes in attribute values.
+std::string Serialize(const Node& node);
 
 /// Serializes a whole document.
-std::string Serialize(const Document& doc, const SerializeOptions& options = {});
+std::string Serialize(const Document& doc);
 
 /// Escapes character data (<, >, &).
 std::string EscapeText(std::string_view text);
@@ -31,11 +24,10 @@ std::string EscapeText(std::string_view text);
 std::string EscapeAttribute(std::string_view text);
 
 /// Writes compact XML text element by element, so a generator emits a
-/// document without building its tree. Calls nest like the elements: Open,
-/// then its Attribute calls, then its Text and child elements, then Close.
-/// The output is what Serialize prints for the tree the same calls would
-/// build: an element with no content closes as `<x/>`, and empty text adds
-/// nothing.
+/// document without building its tree, and Serialize prints one. Calls
+/// nest like the elements: Open, then its Attribute calls, then its Text
+/// and child elements, then Close. An element with no content closes as
+/// `<x/>`, and empty text adds nothing (a tree holds no empty text node).
 class Writer {
  public:
   void Open(std::string_view name);

@@ -88,7 +88,7 @@ class Evaluator {
   }
 
   Result<Sequence> Eval(const Expr& e, const Focus& focus) {
-    operator_evals_.Increment();
+    ++operator_evals_.count;
     if (trace_operators_) {
       if (const char* span_name = OperatorSpanName(e.kind)) {
         obs::ScopedSpan span(span_name);
@@ -678,7 +678,9 @@ class Evaluator {
   const EvalOptions& options_;
   xml::Arena& arena_;
   std::vector<std::pair<std::string, Sequence>> scope_;
-  obs::Counter& operator_evals_;
+  /// AST nodes evaluated, added to the shared counter once when the
+  /// evaluator ends rather than once per node.
+  VisitTally operator_evals_;
   obs::Counter& nodes_visited_;
   // Sampled once per query: per-operator spans are only recorded when the
   // tracer was enabled at evaluator construction.

@@ -1,11 +1,15 @@
 #include "xquery/exec/exec.h"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "common/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -36,6 +40,21 @@ using xml::Arena;
 /// never materializes far past what the consumer needs.
 constexpr size_t kTupleBatch = 64;
 
+/// One HashGroupCount build: for every distinct group key, the ascending
+/// indexes of the items of X with at least one R value carrying that key.
+/// Keys follow the interpreter's general comparison (CompareAtomic): a
+/// value that parses as a number is keyed by that number (-0 and 0 are
+/// one key: they compare, and so hash, equal), any other value by its
+/// string. R is a path, so its values are nodes and never atomize to NaN.
+struct GroupCountTable {
+  std::unordered_map<double, std::vector<uint32_t>> numbers;
+  std::unordered_map<std::string, std::vector<uint32_t>> strings;
+  /// Items with at least one numeric key: a NaN probe compares equal to
+  /// every number.
+  std::vector<uint32_t> any_number;
+  size_t items = 0;
+};
+
 /// Everything one Execute() call threads through the operator tree. The
 /// scope holds the bindings of enclosing tuples while a sub-plan runs, so
 /// expression leaves see exactly the variables the interpreter would.
@@ -59,6 +78,10 @@ struct ExecContext {
   /// resolved before any morsel fan-out).
   const IndexProvider* indexes = nullptr;
   bool trace = false;
+  /// HashGroupCount tables by operator slot, built on each operator's
+  /// first probe of this execution. They live here, never in the shared
+  /// frozen plan, because each execution sees its own bindings.
+  std::map<size_t, GroupCountTable> group_counts;
 };
 
 /// Items each lane of a parallel region must get before the region goes
@@ -221,27 +244,34 @@ class ItemOp {
   virtual ~ItemOp() = default;
 
   Result<Sequence> Run(ExecContext& ctx) const {
-    OperatorStats& stats = (*ctx.stats)[slot_];
-    ++stats.invocations;
-    Stopwatch watch;
-    Result<Sequence> result = RunTraced(ctx);
-    stats.millis += watch.ElapsedMillis();
-    if (result.ok()) stats.rows_out += result.value().size();
-    return result;
+    return Measured<Sequence>(ctx, [&] { return DoRun(ctx); });
   }
 
  protected:
   virtual Result<Sequence> DoRun(ExecContext& ctx) const = 0;
   size_t slot() const { return slot_; }
 
- private:
-  Result<Sequence> RunTraced(ExecContext& ctx) const {
-    if (ctx.trace) {
-      obs::ScopedSpan span("plan.op." + label_);
-      return DoRun(ctx);
-    }
-    return DoRun(ctx);
+  /// Runs `body` under this operator's stats slot and optional span.
+  template <typename T, typename Body>
+  Result<T> Measured(ExecContext& ctx, Body&& body) const {
+    OperatorStats& stats = (*ctx.stats)[slot_];
+    ++stats.invocations;
+    Stopwatch watch;
+    Result<T> result = [&]() -> Result<T> {
+      if (ctx.trace) {
+        obs::ScopedSpan span("plan.op." + label_);
+        return body();
+      }
+      return body();
+    }();
+    stats.millis += watch.ElapsedMillis();
+    if (result.ok()) stats.rows_out += RowsOf(result.value());
+    return result;
   }
+
+ private:
+  static size_t RowsOf(const Sequence& items) { return items.size(); }
+  static size_t RowsOf(const xml::Node*) { return 1; }
 
   std::string label_;
   size_t slot_;
@@ -534,6 +564,234 @@ class AggregateOp final : public ItemOp {
  private:
   std::unique_ptr<ItemOp> input_;
   std::string function_;
+};
+
+/// Direct element constructor, built into the run arena exactly as the
+/// interpreter's BuildConstructed builds it: attributes from their text
+/// and enclosed-expression parts, then content in order — text parts,
+/// nested constructors built in place, atomics joined with one space and
+/// flushed around node items, nodes copied. A top-level tree gets
+/// pre-order ids from 1 and no collection rank.
+class ConstructOp final : public ItemOp {
+ public:
+  ConstructOp(std::string label, size_t slot, const Expr* constructor,
+              std::vector<std::unique_ptr<ItemOp>> inputs)
+      : ItemOp(std::move(label), slot),
+        constructor_(constructor),
+        inputs_(std::move(inputs)) {}
+
+  /// Builds the element as the last child of `parent` (a nested
+  /// constructor), under this operator's counters.
+  Result<xml::Node*> BuildUnder(ExecContext& ctx, xml::Node* parent) const {
+    return Measured<xml::Node*>(ctx, [&] { return Build(ctx, parent); });
+  }
+
+ protected:
+  Result<Sequence> DoRun(ExecContext& ctx) const override {
+    XBENCH_ASSIGN_OR_RETURN(xml::Node * element, Build(ctx, nullptr));
+    uint32_t next = 1;
+    AssignOrder(*element, next);
+    return Sequence{Item::Node(element)};
+  }
+
+ private:
+  static void AssignOrder(xml::Node& node, uint32_t& next) {
+    node.set_order(next++);
+    for (xml::Node* child : node.children()) AssignOrder(*child, next);
+  }
+
+  Result<xml::Node*> Build(ExecContext& ctx, xml::Node* parent) const {
+    const Expr& e = *constructor_;
+    xml::Node* element = parent != nullptr
+                             ? parent->AddElement(e.element_name)
+                             : ctx.arena->NewElement(e.element_name);
+    size_t input = 0;
+    for (const ConstructorAttr& attr : e.constructor_attrs) {
+      std::string value;
+      for (const ConstructorContent& part : attr.value_parts) {
+        if (part.kind == ConstructorContent::kText) {
+          value += part.text;
+        } else if (part.kind == ConstructorContent::kExpr) {
+          XBENCH_ASSIGN_OR_RETURN(Sequence items, inputs_[input++]->Run(ctx));
+          for (size_t i = 0; i < items.size(); ++i) {
+            if (i != 0) value += " ";
+            value += AtomizeToString(items[i]);
+          }
+        } else {
+          return Status::InvalidArgument(
+              "element constructor in attribute value");
+        }
+      }
+      element->SetAttribute(attr.name, value);
+    }
+    std::vector<std::string> atomics;
+    auto flush_atomics = [&]() {
+      if (atomics.empty()) return;
+      element->AddText(Join(atomics, " "));
+      atomics.clear();
+    };
+    for (const ConstructorContent& part : e.constructor_content) {
+      switch (part.kind) {
+        case ConstructorContent::kText:
+          flush_atomics();
+          element->AddText(part.text);
+          break;
+        case ConstructorContent::kChild: {
+          flush_atomics();
+          // PhysicalBuilder only builds a ConstructOp whose nested
+          // constructor inputs are ConstructOps (ConstructInputsMatch).
+          const auto& child =
+              static_cast<const ConstructOp&>(*inputs_[input++]);
+          XBENCH_RETURN_IF_ERROR(child.BuildUnder(ctx, element).status());
+          break;
+        }
+        case ConstructorContent::kExpr: {
+          XBENCH_ASSIGN_OR_RETURN(Sequence items, inputs_[input++]->Run(ctx));
+          for (const Item& item : items) {
+            if (item.kind == Item::Kind::kNode) {
+              flush_atomics();
+              element->AppendCopy(*item.node);
+            } else {
+              atomics.push_back(AtomizeToString(item));
+            }
+          }
+          flush_atomics();
+          break;
+        }
+      }
+    }
+    flush_atomics();
+    return element;
+  }
+
+  const Expr* constructor_;
+  /// One per enclosed expression and nested constructor, in the order
+  /// Build consumes them (plan::ConstructInputCount).
+  std::vector<std::unique_ptr<ItemOp>> inputs_;
+};
+
+/// `count(X[R = $v])` as a hash group count. On its first probe of an
+/// execution it runs X once and keys every item by its distinct R values
+/// (GroupCountTable); each probe then counts the items whose keys compare
+/// equal to $v, exactly as the interpreter's general comparison would.
+/// The planner only matches shapes where X and R read no FLWOR variable,
+/// so one table serves every tuple of the execution.
+class HashGroupCountOp final : public ItemOp {
+ public:
+  HashGroupCountOp(std::string label, size_t slot,
+                   std::unique_ptr<ItemOp> items, std::unique_ptr<ItemOp> probe,
+                   const Expr* key)
+      : ItemOp(std::move(label), slot),
+        items_(std::move(items)),
+        probe_(std::move(probe)),
+        key_(key) {}
+
+ protected:
+  Result<Sequence> DoRun(ExecContext& ctx) const override {
+    auto it = ctx.group_counts.find(slot());
+    if (it == ctx.group_counts.end()) {
+      XBENCH_ASSIGN_OR_RETURN(GroupCountTable table, BuildTable(ctx));
+      it = ctx.group_counts.emplace(slot(), std::move(table)).first;
+    }
+    const GroupCountTable& table = it->second;
+    XBENCH_ASSIGN_OR_RETURN(Sequence probe, probe_->Run(ctx));
+    std::vector<const std::vector<uint32_t>*> matches;
+    for (const Item& value : probe) AddMatches(table, value, matches);
+    size_t count = 0;
+    if (matches.size() == 1) {
+      count = matches.front()->size();
+    } else if (matches.size() > 1) {
+      // General comparison is existential: an item counts once however
+      // many of its keys match.
+      std::vector<char> seen(table.items, 0);
+      for (const std::vector<uint32_t>* list : matches) {
+        for (uint32_t i : *list) {
+          if (!seen[i]) {
+            seen[i] = 1;
+            ++count;
+          }
+        }
+      }
+    }
+    return Sequence{Item::Number(static_cast<double>(count))};
+  }
+
+ private:
+  struct Key {
+    bool numeric = false;
+    double number = 0;
+    std::string text;
+  };
+
+  /// One pass over X: each item's R values (the interpreter evaluates R
+  /// with the item as focus, as the replaced predicate did), fanned out
+  /// as one region, then merged into the table in item order.
+  Result<GroupCountTable> BuildTable(ExecContext& ctx) const {
+    XBENCH_ASSIGN_OR_RETURN(Sequence items, items_->Run(ctx));
+    const size_t n = items.size();
+    std::vector<std::vector<Key>> keys(n);
+    const Status status =
+        RunParallel(ctx, slot(), n, [&](size_t i, Arena& arena) -> Status {
+          auto values =
+              EvalLeafIn(ctx, ctx.scope, arena, *key_, &items[i], i + 1, n);
+          if (!values.ok()) return values.status();
+          for (const Item& value : values.value()) {
+            Key key;
+            key.text = AtomizeToString(value);
+            const double number = ParseDouble(key.text);
+            if (!std::isnan(number)) {
+              key.numeric = true;
+              key.number = number;
+              key.text.clear();
+            }
+            keys[i].push_back(std::move(key));
+          }
+          return Status::Ok();
+        });
+    if (!status.ok()) return status;
+    GroupCountTable table;
+    table.items = n;
+    auto add = [](std::vector<uint32_t>& list, uint32_t i) {
+      if (list.empty() || list.back() != i) list.push_back(i);
+    };
+    for (size_t i = 0; i < n; ++i) {
+      const auto index = static_cast<uint32_t>(i);
+      for (const Key& key : keys[i]) {
+        if (key.numeric) {
+          add(table.numbers[key.number], index);
+          add(table.any_number, index);
+        } else {
+          add(table.strings[key.text], index);
+        }
+      }
+    }
+    return table;
+  }
+
+  /// The posting lists of the items whose keys compare equal to `value`.
+  /// A number matches equal numeric keys (NaN matches all of them); a
+  /// value whose string does not parse as a number (a string, a boolean,
+  /// NaN) also matches that string's key.
+  static void AddMatches(const GroupCountTable& table, const Item& value,
+                         std::vector<const std::vector<uint32_t>*>& out) {
+    const std::optional<double> number = AtomizeToNumber(value);
+    if (number.has_value()) {
+      if (std::isnan(*number)) {
+        if (!table.any_number.empty()) out.push_back(&table.any_number);
+      } else {
+        auto it = table.numbers.find(*number);
+        if (it != table.numbers.end()) out.push_back(&it->second);
+      }
+    }
+    const std::string text = AtomizeToString(value);
+    if (!std::isnan(ParseDouble(text))) return;
+    auto it = table.strings.find(text);
+    if (it != table.strings.end()) out.push_back(&it->second);
+  }
+
+  std::unique_ptr<ItemOp> items_;
+  std::unique_ptr<ItemOp> probe_;
+  const Expr* key_;
 };
 
 class EmptyOp final : public ItemOp {
@@ -1243,17 +1501,44 @@ class PhysicalBuilder {
         const size_t slot = AddSlot(label, depth);
         return {std::make_unique<ScanOp>(label, slot, n.name)};
       }
-      case LogicalKind::kEval:
-      case LogicalKind::kConstruct: {
+      case LogicalKind::kEval: {
         if (n.expr == nullptr) {
           return Status::Internal("plan leaf without an expression");
         }
         const std::string label =
-            n.kind == LogicalKind::kConstruct
-                ? "Construct(<" + n.name + ">)"
-                : std::string("Eval(") + plan::ExprKindLabel(n.expr) + ")";
+            std::string("Eval(") + plan::ExprKindLabel(n.expr) + ")";
         const size_t slot = AddSlot(label, depth);
         return {std::make_unique<EvalExprOp>(label, slot, n.expr)};
+      }
+      case LogicalKind::kConstruct: {
+        if (!ConstructInputsMatch(n)) {
+          return Status::Internal(
+              "constructor expects one input per enclosed expression");
+        }
+        const std::string label = "Construct(<" + n.name + ">)";
+        const size_t slot = AddSlot(label, depth);
+        std::vector<std::unique_ptr<ItemOp>> inputs;
+        for (const plan::LogicalNodePtr& input : n.inputs) {
+          XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> op,
+                                  BuildItem(*input, depth + 1));
+          inputs.push_back(std::move(op));
+        }
+        return {std::make_unique<ConstructOp>(label, slot, n.expr,
+                                              std::move(inputs))};
+      }
+      case LogicalKind::kHashGroupCount: {
+        if (n.inputs.size() != 2 || n.expr == nullptr) {
+          return Status::Internal(
+              "group count expects items, a probe and a key path");
+        }
+        const std::string label = plan::GroupCountLabel(n);
+        const size_t slot = AddSlot(label, depth);
+        XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> items,
+                                BuildItem(*n.inputs[0], depth + 1));
+        XBENCH_ASSIGN_OR_RETURN(std::unique_ptr<ItemOp> probe,
+                                BuildItem(*n.inputs[1], depth + 1));
+        return {std::make_unique<HashGroupCountOp>(
+            label, slot, std::move(items), std::move(probe), n.expr)};
       }
       case LogicalKind::kChildStep:
       case LogicalKind::kAxisStep: {
@@ -1353,6 +1638,27 @@ class PhysicalBuilder {
   }
 
  private:
+  /// A constructor's inputs line up with its enclosed expressions, and
+  /// every nested constructor's input is a constructor (ConstructOp
+  /// builds those in place).
+  static bool ConstructInputsMatch(const LogicalNode& n) {
+    if (n.expr == nullptr ||
+        n.inputs.size() != plan::ConstructInputCount(*n.expr)) {
+      return false;
+    }
+    size_t input = n.inputs.size();
+    for (auto it = n.expr->constructor_content.rbegin();
+         it != n.expr->constructor_content.rend(); ++it) {
+      if (it->kind == ConstructorContent::kText) continue;
+      --input;
+      if (it->kind == ConstructorContent::kChild &&
+          n.inputs[input]->kind != LogicalKind::kConstruct) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   Result<std::unique_ptr<ItemOp>> BuildInput(const LogicalNode& n, int depth) {
     if (n.inputs.size() != 1) {
       return Status::Internal("item operator expects exactly one input");

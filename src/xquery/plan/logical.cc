@@ -136,6 +136,9 @@ std::string NodeLabel(const LogicalNode& n) {
     case LogicalKind::kConstruct:
       label = "Construct(<" + n.name + ">)";
       break;
+    case LogicalKind::kHashGroupCount:
+      label = GroupCountLabel(n);
+      break;
     case LogicalKind::kEmpty:
       label = "Empty [statically empty]";
       break;
@@ -228,16 +231,19 @@ class Builder {
       }
       case ExprKind::kFlwor:
         return BuildFlwor(e);
-      case ExprKind::kConstructor: {
-        auto node = std::make_unique<LogicalNode>(LogicalKind::kConstruct);
-        node->name = e.element_name;
-        node->expr = &e;
-        return node;
-      }
+      case ExprKind::kConstructor:
+        return BuildConstruct(e);
       case ExprKind::kFunctionCall:
         if (e.children.size() == 1 &&
             AggregateFunctions().count(e.function_name) != 0) {
-          LogicalNodePtr arg = BuildItem(*e.children.front());
+          const Expr& arg_expr = *e.children.front();
+          const GroupCountShape shape = e.function_name == "count"
+                                            ? MatchGroupCount(arg_expr)
+                                            : GroupCountShape{};
+          LogicalNodePtr arg = BuildItem(arg_expr);
+          if (shape.key != nullptr && CarriesOnly(*arg, shape.predicate)) {
+            return BuildGroupCount(shape, std::move(arg));
+          }
           if (arg->kind != LogicalKind::kEval) {
             auto node =
                 std::make_unique<LogicalNode>(LogicalKind::kAggregate);
@@ -256,6 +262,122 @@ class Builder {
   LogicalNodePtr Fallback(const Expr& e) {
     auto node = std::make_unique<LogicalNode>(LogicalKind::kEval);
     node->expr = &e;
+    return node;
+  }
+
+  /// A direct element constructor: one input per enclosed expression and
+  /// nested constructor, in the order the interpreter evaluates them
+  /// (ConstructInputCount).
+  LogicalNodePtr BuildConstruct(const Expr& e) {
+    auto node = std::make_unique<LogicalNode>(LogicalKind::kConstruct);
+    node->name = e.element_name;
+    node->expr = &e;
+    for (const ConstructorAttr& attr : e.constructor_attrs) {
+      for (const ConstructorContent& part : attr.value_parts) {
+        if (part.kind == ConstructorContent::kExpr) {
+          node->inputs.push_back(BuildItem(*part.expr));
+        }
+      }
+    }
+    for (const ConstructorContent& part : e.constructor_content) {
+      if (part.kind == ConstructorContent::kExpr) {
+        node->inputs.push_back(BuildItem(*part.expr));
+      } else if (part.kind == ConstructorContent::kChild) {
+        node->inputs.push_back(BuildItem(*part.child));
+      }
+    }
+    return node;
+  }
+
+  /// The predicate and key of a `count(X[R = $v])` argument the grouped
+  /// count answers; `key` is null when the argument has another shape.
+  struct GroupCountShape {
+    const Expr* predicate = nullptr;
+    const Expr* key = nullptr;
+    std::string variable;
+  };
+
+  /// Whether `built` is the step or filter node that applies exactly
+  /// `predicate` (not an interpreter leaf or a statically empty path).
+  static bool CarriesOnly(const LogicalNode& built, const Expr* predicate) {
+    switch (built.kind) {
+      case LogicalKind::kFilter:
+      case LogicalKind::kChildStep:
+      case LogicalKind::kAxisStep:
+      case LogicalKind::kDescendantStep:
+        return built.predicates.size() == 1 &&
+               built.predicates.front() == predicate;
+      default:
+        return false;
+    }
+  }
+
+  /// Matches `X[R = $v]` (either operand order): the argument's last
+  /// predicate list is that one comparison, R is a context-relative path
+  /// with no predicates (so no variable and no positional test), $v's
+  /// innermost binding is a for variable (always one item), and X reads no
+  /// FLWOR variable — so X and every item's R values are the same for
+  /// every tuple of this execution.
+  GroupCountShape MatchGroupCount(const Expr& arg) const {
+    const Expr* pred = nullptr;
+    if (arg.kind == ExprKind::kFilter && arg.children.size() == 1) {
+      pred = arg.children.front().get();
+    } else if (arg.kind == ExprKind::kPath && !arg.steps.empty() &&
+               arg.steps.back().predicates.size() == 1) {
+      pred = arg.steps.back().predicates.front().get();
+    }
+    if (pred == nullptr || pred->kind != ExprKind::kComparison ||
+        pred->compare_op != CompareOp::kEq || pred->lhs == nullptr ||
+        pred->rhs == nullptr) {
+      return {};
+    }
+    const Expr* key = pred->lhs.get();
+    const Expr* var = pred->rhs.get();
+    if (key->kind == ExprKind::kVariable) std::swap(key, var);
+    if (var->kind != ExprKind::kVariable || !IsGroupKeyPath(*key) ||
+        !IsForVariable(var->variable) ||
+        CountVariableUses(arg, var->variable) != 1) {
+      return {};
+    }
+    for (const std::string& name : FreeVariables(arg)) {
+      if (name != var->variable && InScope(name)) return {};
+    }
+    return {pred, key, var->variable};
+  }
+
+  static bool IsGroupKeyPath(const Expr& e) {
+    if (e.kind != ExprKind::kPath || e.path_from_root || e.steps.empty() ||
+        (e.path_root != nullptr &&
+         e.path_root->kind != ExprKind::kContextItem)) {
+      return false;
+    }
+    for (const Step& step : e.steps) {
+      if (!step.predicates.empty()) return false;
+    }
+    return true;
+  }
+
+  /// Lowers a matched `count(X[R = $v])`: `built` is the argument's plan,
+  /// whose top node applies the matched predicate (CarriesOnly). Without
+  /// it, that plan is X, the build side; a scan of $v is the probe side.
+  LogicalNodePtr BuildGroupCount(const GroupCountShape& shape,
+                                 LogicalNodePtr built) {
+    LogicalNodePtr items;
+    if (built->kind == LogicalKind::kFilter) {
+      items = std::move(built->inputs.front());
+    } else {
+      items = std::move(built);
+      items->predicates.clear();
+      // The analyzer's class described the filtered path.
+      items->cardinality = Card::kUnknown;
+    }
+    auto probe = std::make_unique<LogicalNode>(LogicalKind::kScan);
+    probe->name = shape.variable;
+    auto node = std::make_unique<LogicalNode>(LogicalKind::kHashGroupCount);
+    node->name = shape.variable;
+    node->expr = shape.key;
+    node->inputs.push_back(std::move(items));
+    node->inputs.push_back(std::move(probe));
     return node;
   }
 
@@ -352,9 +474,9 @@ class Builder {
         node->inputs.push_back(std::move(pipeline));
         node->inputs.push_back(BuildItem(*clause.input));
         pipeline = std::move(node);
-        scope_vars_.push_back(clause.variable);
+        scope_vars_.push_back({clause.variable, /*for_item=*/true});
         if (!clause.position_variable.empty()) {
-          scope_vars_.push_back(clause.position_variable);
+          scope_vars_.push_back({clause.position_variable, false});
         }
         first_for = false;
       } else {
@@ -364,7 +486,7 @@ class Builder {
         node->inputs.push_back(std::move(pipeline));
         node->inputs.push_back(BuildItem(*clause.value));
         pipeline = std::move(node);
-        scope_vars_.push_back(clause.variable);
+        scope_vars_.push_back({clause.variable, false});
       }
     }
     if (e.where != nullptr) {
@@ -387,8 +509,17 @@ class Builder {
   }
 
   bool InScope(const std::string& name) const {
-    for (const std::string& var : scope_vars_) {
-      if (var == name) return true;
+    for (const ScopeVar& var : scope_vars_) {
+      if (var.name == name) return true;
+    }
+    return false;
+  }
+
+  /// Whether the innermost binding of `name` is a for clause's item
+  /// variable (not a let or position variable).
+  bool IsForVariable(const std::string& name) const {
+    for (auto it = scope_vars_.rbegin(); it != scope_vars_.rend(); ++it) {
+      if (it->name == name) return it->for_item;
     }
     return false;
   }
@@ -396,9 +527,15 @@ class Builder {
   const PlanAnnotations* notes_;
   const CompilationOptions& options_;
   const bool guided_allowed_;
+  struct ScopeVar {
+    std::string name;
+    /// A for clause's item variable (bound to exactly one item).
+    bool for_item = false;
+  };
   /// FLWOR variables visible at the point being compiled (outer pipelines
-  /// included) — the set a kJoin input must be disjoint from.
-  std::vector<std::string> scope_vars_;
+  /// included), innermost last — the set a kJoin input must be disjoint
+  /// from.
+  std::vector<ScopeVar> scope_vars_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1137,6 +1274,28 @@ const char* AccessPathModeName(AccessPathMode mode) {
       return "force-index";
   }
   return "?";
+}
+
+std::string GroupCountLabel(const LogicalNode& n) {
+  std::string key = "path";
+  if (n.expr != nullptr) {
+    Result<std::string> text = ToQueryString(*n.expr);
+    if (text.ok()) key = std::move(text).value();
+  }
+  return StrCat({"HashGroupCount(", key, " = $", n.name, ")"});
+}
+
+size_t ConstructInputCount(const Expr& constructor) {
+  size_t count = 0;
+  for (const ConstructorAttr& attr : constructor.constructor_attrs) {
+    for (const ConstructorContent& part : attr.value_parts) {
+      if (part.kind == ConstructorContent::kExpr) ++count;
+    }
+  }
+  for (const ConstructorContent& part : constructor.constructor_content) {
+    if (part.kind != ConstructorContent::kText) ++count;
+  }
+  return count;
 }
 
 std::vector<std::string> FreeVariables(const Expr& expr) {

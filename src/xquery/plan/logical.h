@@ -45,7 +45,8 @@ enum class LogicalKind {
   kDescendantStep,  // fused descendant-or-self::* / child::name pair
   kFilter,      // predicate list over the input sequence
   kAggregate,   // single-argument sequence function (count, sum, ...)
-  kConstruct,   // direct element constructor
+  kConstruct,   // direct element constructor (inputs: enclosed exprs)
+  kHashGroupCount,  // count(X[R = $v]) as one grouped pass over X
   kEmpty,       // statically provably empty (cardinality rewrite)
   kReturn,      // tuple input × item plan -> concatenated item sequence
   // Index probes (wrap the item subtree they replace; inputs[0] is the
@@ -125,6 +126,8 @@ struct LogicalNode {
   AccessPath access = AccessPath::kFullScan;
   /// Predicates / where / order-by / fallback expressions stay AST
   /// references; CompiledQuery keeps the analyzed AST alive for them.
+  /// kConstruct: `expr` is the constructor. kHashGroupCount: `expr` is
+  /// the group key path R and `name` the probe variable.
   std::vector<const Expr*> predicates;
   const Expr* expr = nullptr;
   /// kSort: the FLWOR whose order_by this node applies.
@@ -136,6 +139,15 @@ struct LogicalNode {
   double estimated_rows = -1;
   std::vector<LogicalNodePtr> inputs;
 };
+
+/// Operator label of a kHashGroupCount node, `HashGroupCount(R = $v)`.
+/// Shared by the logical and physical plan renderings and the verifier.
+std::string GroupCountLabel(const LogicalNode& n);
+
+/// Inputs a kConstruct node over `constructor` takes: one per enclosed
+/// expression (attribute value parts first, then content) and one per
+/// nested constructor, in evaluation order.
+size_t ConstructInputCount(const Expr& constructor);
 
 struct LogicalPlan {
   LogicalNodePtr root;

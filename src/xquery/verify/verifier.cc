@@ -19,13 +19,15 @@ bool IsProbe(LogicalKind kind) {
          kind == LogicalKind::kTextProbe;
 }
 
-/// Expected input count per operator kind — the arity half of the
-/// contract table (DESIGN.md §14).
-size_t ExpectedArity(LogicalKind kind) {
-  switch (kind) {
+/// Expected input count per operator — the arity half of the contract
+/// table (DESIGN.md §14). A constructor takes one input per enclosed
+/// expression and nested constructor of its AST.
+size_t ExpectedArity(const LogicalNode& n) {
+  switch (n.kind) {
+    case LogicalKind::kConstruct:
+      return n.expr != nullptr ? plan::ConstructInputCount(*n.expr) : 0;
     case LogicalKind::kScan:
     case LogicalKind::kEval:
-    case LogicalKind::kConstruct:
     case LogicalKind::kEmpty:
     case LogicalKind::kSingleton:
       return 0;
@@ -40,6 +42,7 @@ size_t ExpectedArity(LogicalKind kind) {
     case LogicalKind::kIndexScan:
     case LogicalKind::kIndexRangeScan:
     case LogicalKind::kTextProbe:
+    case LogicalKind::kHashGroupCount:
     case LogicalKind::kReturn:
     case LogicalKind::kFor:
     case LogicalKind::kJoin:
@@ -91,6 +94,8 @@ std::string ExpectedLabel(const LogicalNode& n) {
       return std::string("Eval(") + plan::ExprKindLabel(n.expr) + ")";
     case LogicalKind::kConstruct:
       return "Construct(<" + n.name + ">)";
+    case LogicalKind::kHashGroupCount:
+      return plan::GroupCountLabel(n);
     case LogicalKind::kChildStep:
       return "ChildStep(" + n.name + ")" + PredicateSuffix(n);
     case LogicalKind::kAxisStep:
@@ -196,7 +201,7 @@ class Verifier {
     }
 
     // Arity.
-    const size_t arity = ExpectedArity(n.kind);
+    const size_t arity = ExpectedArity(n);
     if (n.inputs.size() != arity) {
       Report(DiagnosticKind::kArityMismatch, slot, here, actual_label,
              std::to_string(arity) + " input(s)",

@@ -83,9 +83,8 @@ TEST(WordPoolTest, DateFormat) {
 // --- Template engine ------------------------------------------------------------
 
 TEST(TemplateEngineTest, CountsAndPresence) {
-  WordPool words;
   Rng rng(7);
-  GenContext ctx(rng, words);
+  GenContext ctx(rng);
   TemplateNode root;
   root.name = "r";
   TemplateNode* child = root.AddChild("c", stats::MakeUniform(2, 4));
@@ -102,9 +101,8 @@ TEST(TemplateEngineTest, CountsAndPresence) {
 }
 
 TEST(TemplateEngineTest, AttributesAndCounters) {
-  WordPool words;
   Rng rng(7);
-  GenContext ctx(rng, words);
+  GenContext ctx(rng);
   TemplateNode root;
   root.name = "r";
   root.SetAttr("id", [](GenContext& c) {
@@ -118,9 +116,8 @@ TEST(TemplateEngineTest, AttributesAndCounters) {
 }
 
 TEST(TemplateEngineTest, RecursionBounded) {
-  WordPool words;
   Rng rng(7);
-  GenContext ctx(rng, words);
+  GenContext ctx(rng);
   TemplateNode sec;
   sec.name = "sec";
   sec.AddRef(&sec, stats::MakeUniform(1, 1), 1.0, /*max_depth=*/3);

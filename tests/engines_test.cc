@@ -56,6 +56,49 @@ std::string IdLookup(const std::string& id) {
   return "$input[@id = \"" + id + "\"]/@id";
 }
 
+TEST(NativeEngineTest, FailedBulkLoadLeavesTheCollectionUnchanged) {
+  NativeEngine engine;
+  auto db = SmallDb(DbClass::kTcMd);
+  ASSERT_TRUE(engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
+  ASSERT_TRUE(engine.CreateIndex({"article/@id", "article/@id"}).ok());
+  ASSERT_TRUE(
+      engine.CreateIndex({"words", "", IndexKind::kText}).ok());
+  const std::vector<std::string> queries = {
+      "count($input)", "count($input//*)", IdLookup("new"),
+      "$input[@id = \"new\"]//title",
+      "for $a in $input where contains-word($a, \"fresh\") return 1"};
+  auto answers = [&] {
+    std::string out;
+    for (const std::string& query : queries) {
+      auto result = engine.Query(query);
+      out += result.ok() ? result->ToText() : result.status().ToString();
+    }
+    return out;
+  };
+  const std::string before = answers();
+  const size_t documents = engine.document_count();
+  const uint64_t bytes = engine.stored_bytes();
+  const std::vector<IndexInfo> indexes = engine.ListIndexes();
+  std::vector<LoadDocument> docs{
+      {"new.xml",
+       "<article id=\"new\"><prolog><title>fresh</title></prolog></article>"},
+      {"bad.xml", "<article><b></article>"}};
+  EXPECT_FALSE(engine.BulkLoad(db.db_class, docs).ok());
+  EXPECT_EQ(engine.document_count(), documents);
+  EXPECT_EQ(engine.stored_bytes(), bytes);
+  const std::vector<IndexInfo> after = engine.ListIndexes();
+  ASSERT_EQ(after.size(), indexes.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].entries, indexes[i].entries) << after[i].name;
+  }
+  EXPECT_EQ(answers(), before);
+  // The good document loads on its own afterwards.
+  docs.pop_back();
+  ASSERT_TRUE(engine.BulkLoad(db.db_class, docs).ok());
+  EXPECT_EQ(engine.document_count(), documents + 1);
+  EXPECT_NE(answers(), before);
+}
+
 TEST(NativeEngineTest, IndexNarrowsCandidates) {
   NativeEngine engine;
   // Large enough (30 documents) that the cost model prefers the probe.
@@ -331,6 +374,27 @@ TEST(ShredEngineTest, Table3IndexCreation) {
   relational::Table* items = engine.tables().FindTable("item_tab");
   EXPECT_NE(items->FindIndex("item/@id"), nullptr);
   EXPECT_NE(items->FindIndex("date_of_release"), nullptr);
+}
+
+TEST(RelationalEngines, FailedBulkLoadTakesBackItsTables) {
+  auto db = SmallDb(DbClass::kDcMd);
+  std::vector<LoadDocument> docs = workload::ToLoadDocuments(db);
+  std::vector<LoadDocument> bad = docs;
+  bad.push_back({"bad.xml", "<order><b></order>"});
+  ClobEngine clob;
+  ShredEngine shred(EngineKind::kShredMsSql);
+  for (XmlDbms* engine : std::initializer_list<XmlDbms*>{&clob, &shred}) {
+    EXPECT_FALSE(engine->BulkLoad(db.db_class, bad).ok());
+    // Nothing of the failed load is left to collide with a retry.
+    ASSERT_TRUE(engine->BulkLoad(db.db_class, docs).ok());
+  }
+  EXPECT_EQ(clob.side_tables().FindTable("side_order")->row_count(),
+            static_cast<uint64_t>(db.seeds.order_count));
+  EXPECT_EQ(shred.tables().FindTable("order_tab")->row_count(),
+            static_cast<uint64_t>(db.seeds.order_count));
+  auto fetched = clob.FetchDocument(docs[0].name);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(xml::Serialize(*(*fetched)->root()), docs[0].text);
 }
 
 TEST(EngineFactoryTest, MakesAllKinds) {

@@ -629,15 +629,29 @@ TEST(GuideTest, InsertedPathJoinsTheGuideAndDeletedPathLeavesIt) {
   EXPECT_EQ(RunOn(engine, "$input//c", kGuided).answer, "<c>1</c>\n");
 }
 
-TEST(GuideTest, FailedBulkLoadKeepsTheGuideOfWhatItLoaded) {
-  // The load stops at the malformed second document; the first stays in
-  // the collection, so its paths must be in the guide.
+TEST(GuideTest, FailedBulkLoadLeavesTheGuideUnchanged) {
+  // The load stops at its malformed second document and takes back the
+  // first: the collection, its guide and its catalog answer as before.
   engines::NativeEngine engine;
+  ASSERT_TRUE(
+      engine.BulkLoad(DbClass::kTcMd, {{"0.xml", "<a><b><c>0</c></b></a>"}})
+          .ok());
+  const xquery::plan::IndexCatalog before = engine.IndexCatalogSnapshot();
   EXPECT_FALSE(engine
-                   .BulkLoad(DbClass::kTcMd, {{"1.xml", "<a><x><c>1</c></x></a>"},
-                                              {"2.xml", "<a><c>"}})
+                   .BulkLoad(DbClass::kTcMd,
+                             {{"1.xml", "<a><x><c>1</c></x></a>"},
+                              {"2.xml", "<a><c>"}})
                    .ok());
-  EXPECT_EQ(RunOn(engine, "$input//c", kGuided).answer, "<c>1</c>\n");
+  const xquery::plan::IndexCatalog after = engine.IndexCatalogSnapshot();
+  EXPECT_EQ(after.collection.guide->ChainsBelow("a", "c").Find("x"), nullptr);
+  EXPECT_EQ(after.collection.documents, before.collection.documents);
+  EXPECT_EQ(after.collection.total_elements,
+            before.collection.total_elements);
+  EXPECT_EQ(after.collection.elements_by_name,
+            before.collection.elements_by_name);
+  EXPECT_EQ(engine.document_count(), 1u);
+  EXPECT_EQ(RunOn(engine, "$input//c", kGuided).answer, "<c>0</c>\n");
+  EXPECT_EQ(RunOn(engine, "$input//c", kScan).answer, "<c>0</c>\n");
 }
 
 TEST(GuideTest, ConstructedContextGetsAFullScan) {
@@ -658,6 +672,126 @@ TEST(GuideTest, ConstructedContextGetsAFullScan) {
   EXPECT_NE(run.physical.find("GuidedWalk(qloc)"), std::string::npos)
       << run.physical;
   EXPECT_EQ(run.answer, "<qloc>L2</qloc>\n");
+}
+
+// --- Lowered constructors and the grouped count ------------------------------
+
+/// Runs `text` as a compiled plan (guided and full-scan) and with the
+/// interpreter oracle; returns the guided plan's physical rendering.
+std::string ExpectMatchesOracle(engines::NativeEngine& engine,
+                                const std::string& text) {
+  auto ast = xquery::ParseQuery(text);
+  EXPECT_TRUE(ast.ok()) << ast.status().ToString();
+  if (!ast.ok()) return "";
+  auto reference = oracle::Interpret(engine, **ast);
+  const std::string expected =
+      reference.ok() ? reference->ToText() : reference.status().ToString();
+  const GuideRun scan = RunOn(engine, text, kScan);
+  const GuideRun guided = RunOn(engine, text, kGuided);
+  EXPECT_EQ(scan.answer, expected) << text;
+  EXPECT_EQ(guided.answer, expected) << text;
+  return guided.physical;
+}
+
+/// Group keys that only the general comparison's rules tell apart:
+/// numbers in several spellings, -0 and 0, the text "NaN" (a string, it
+/// does not parse as a number), repeated values in one item and items
+/// without any key.
+engines::NativeEngine& GroupCountEngine() {
+  static auto* engine = [] {
+    auto* e = new engines::NativeEngine();
+    EXPECT_TRUE(e->BulkLoad(DbClass::kTcSd,
+                            {{"1.xml",
+                              "<d><e id=\"a\"><k>1</k><k>1.0</k></e>"
+                              "<e id=\"b\"><x><k>01</k></x><k>x</k></e>"
+                              "<e id=\"c\"><k>-0</k><k>x</k><k>x</k></e>"
+                              "<e id=\"d\"/></d>"},
+                             {"2.xml",
+                              "<d><e id=\"e\"><k>0</k><k>NaN</k></e>"
+                              "<e id=\"f\"><k>true</k><k> 1 </k></e>"
+                              "<e id=\"g\"><k>NaN</k></e></d>"}})
+                    .ok());
+    return e;
+  }();
+  return *engine;
+}
+
+TEST(GroupCountTest, MatchesTheInterpreterOnNumericLookingKeys) {
+  engines::NativeEngine& engine = GroupCountEngine();
+  const std::vector<std::string> queries = {
+      // The TC/SD Q3 shape over every distinct key.
+      "for $v in distinct-values($input//k) order by $v return "
+      "<g><v>{$v}</v><n>{count($input//e[.//k = $v])}</n></g>",
+      // Probes of every atomic kind: numbers (NaN equals every number),
+      // booleans (1 or 0, and the string \"true\"), strings.
+      "for $v in (1, 0, 1.5, number(\"x\"), true(), false(), \"1\", "
+      "\"1.0\", \"01\", \"-0\", \"0\", \"NaN\", \"x\", \"y\") "
+      "return count($input//e[k = $v])",
+      // Operands swapped; a filter over a parenthesized path.
+      "for $v in distinct-values($input//k) return "
+      "count(($input//e)[$v = .//k])",
+      // An empty for input never builds the table.
+      "for $v in $input//nothing return count($input//e[k = $v])",
+      "for $v in () return count($input//e[k = $v])",
+  };
+  for (const std::string& query : queries) {
+    const std::string physical = ExpectMatchesOracle(engine, query);
+    EXPECT_NE(physical.find("HashGroupCount("), std::string::npos)
+        << query << "\n" << physical;
+  }
+}
+
+TEST(GroupCountTest, OtherShapesKeepThePerTuplePlan) {
+  engines::NativeEngine& engine = GroupCountEngine();
+  const std::vector<std::string> queries = {
+      // A let variable may hold many items.
+      "for $x in $input//e let $v := $x/k return count($input//e[k = $v])",
+      // A position variable.
+      "for $x at $v in $input//e return count($input//e[k = $v])",
+      // Comparisons other than =.
+      "for $v in distinct-values($input//k) return "
+      "count($input//e[k != $v])",
+      "for $v in distinct-values($input//k) return count($input//e[k < $v])",
+      // X depends on a loop variable.
+      "for $d in $input, $v in $d//k return count($d//e[k = $v])",
+      "for $v in $input//k return count($v/../../e[k = $v])",
+      // Positional predicates.
+      "for $v in distinct-values($input//k) return "
+      "count($input//e[k = $v][1])",
+      "for $v in distinct-values($input//k) return "
+      "count($input//e[k[1] = $v])",
+      "for $v in (1, 2) return count($input//e[position() = $v])",
+  };
+  for (const std::string& query : queries) {
+    const std::string physical = ExpectMatchesOracle(engine, query);
+    EXPECT_EQ(physical.find("HashGroupCount("), std::string::npos)
+        << query << "\n" << physical;
+    EXPECT_NE(physical.find("Aggregate(count)"), std::string::npos)
+        << query << "\n" << physical;
+  }
+}
+
+TEST(ConstructTest, LoweredConstructorsMatchTheInterpreter) {
+  engines::NativeEngine& engine = GroupCountEngine();
+  const std::vector<std::string> queries = {
+      // Attribute text and enclosed parts; atomics joined by one space and
+      // flushed around copied nodes; text, nested and empty constructors.
+      "for $e in $input//e return <r a=\"x{$e/k}y{count($e/k)}\" "
+      "b=\"{$e/@id}\"><t>lit</t>{$e/k, \"a\", 1}{data($e/k)} mid "
+      "{$e/@id}<n/>{()}{1, 2}</r>",
+      // A constructed tree inside a constructor is copied in.
+      "<a>{<b>{1}</b>}<c>{for $k in $input//k return data($k)}</c></a>",
+      // Constructed trees carry pre-order ids for document order.
+      "for $x in (<a><b>1</b><c><b>2</b></c></a>)//b return $x",
+      "let $c := <a><b/><c/></a> return ($c/c | $c/b)",
+      // Errors surface as the interpreter's.
+      "<a>{$input//e/k + 1}</a>",
+  };
+  for (const std::string& query : queries) {
+    const std::string physical = ExpectMatchesOracle(engine, query);
+    EXPECT_EQ(physical.find("Eval(constructor)"), std::string::npos)
+        << physical;
+  }
 }
 
 // --- Xcolumn plan cache -----------------------------------------------------

@@ -59,16 +59,19 @@ class VerifyFixture : public ::testing::Test {
   /// Compiles Q5 (an `item[@id = …]` equality probe under kForceIndex)
   /// into separately owned logical + physical plans.
   static BuiltPlan BuildProbePlan() {
+    return BuildPlan(QueryId::kQ5, xquery::plan::AccessPathMode::kForceIndex);
+  }
+
+  static BuiltPlan BuildPlan(QueryId id, xquery::plan::AccessPathMode mode) {
     BuiltPlan built;
     const std::string text =
-        workload::XQueryFor(QueryId::kQ5, DbClass::kTcSd, *params_);
+        workload::XQueryFor(id, DbClass::kTcSd, *params_);
     EXPECT_FALSE(text.empty());
     auto analyzed = workload::AnalyzeForClassFull(text, DbClass::kTcSd);
     EXPECT_TRUE(analyzed.ok()) << analyzed.status().ToString();
     built.ast = std::move(analyzed->ast);
     built.report = std::move(analyzed->report);
-    built.options.access_path.mode =
-        xquery::plan::AccessPathMode::kForceIndex;
+    built.options.access_path.mode = mode;
     auto logical = xquery::plan::BuildLogicalPlan(
         *built.ast, &built.report.annotations, built.options, catalog_);
     EXPECT_TRUE(logical.ok()) << logical.status().ToString();
@@ -83,6 +86,18 @@ class VerifyFixture : public ::testing::Test {
     if (n->probe.has_value()) return n;
     for (auto& input : n->inputs) {
       if (auto* probe = FindProbe(input.get())) return probe;
+    }
+    return nullptr;
+  }
+
+  /// First node of `kind` in pre-order, with its stats slot.
+  static xquery::plan::LogicalNode* FindKind(xquery::plan::LogicalNode* n,
+                                             xquery::plan::LogicalKind kind,
+                                             size_t& slot) {
+    if (n->kind == kind) return n;
+    for (auto& input : n->inputs) {
+      ++slot;
+      if (auto* found = FindKind(input.get(), kind, slot)) return found;
     }
     return nullptr;
   }
@@ -216,6 +231,37 @@ TEST_F(VerifyFixture, CorruptedLabelIsRejected) {
   VerifyResult result = Verify(built);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(HasKind(result, DiagnosticKind::kLabelMismatch));
+}
+
+TEST_F(VerifyFixture, GroupCountAndConstructorContractsAreChecked) {
+  using xquery::plan::LogicalKind;
+  constexpr auto kGuided = xquery::plan::AccessPathMode::kForceGuided;
+  {
+    BuiltPlan built = BuildPlan(QueryId::kQ3, kGuided);
+    EXPECT_TRUE(Verify(built).ok());
+    size_t slot = 0;
+    xquery::plan::LogicalNode* count = FindKind(
+        built.logical.root.get(), LogicalKind::kHashGroupCount, slot);
+    ASSERT_NE(count, nullptr);
+    EXPECT_EQ(built.physical.labels[slot], "HashGroupCount(.//qloc = $loc)");
+    // A plan grouping by another key is not the plan that was frozen.
+    built.physical.labels[slot] = "HashGroupCount(.//qau = $loc)";
+    VerifyResult forged = Verify(built);
+    EXPECT_TRUE(HasKind(forged, DiagnosticKind::kLabelMismatch));
+    count->inputs.pop_back();  // drop the probe side
+    EXPECT_TRUE(HasKind(Verify(built), DiagnosticKind::kArityMismatch));
+  }
+  {
+    BuiltPlan built = BuildPlan(QueryId::kQ11, kGuided);
+    EXPECT_TRUE(Verify(built).ok());
+    size_t slot = 0;
+    xquery::plan::LogicalNode* construct =
+        FindKind(built.logical.root.get(), LogicalKind::kConstruct, slot);
+    ASSERT_NE(construct, nullptr);
+    ASSERT_EQ(construct->inputs.size(), 2u);  // <qau>{…}</qau><qd>{…}</qd>
+    construct->inputs.pop_back();
+    EXPECT_TRUE(HasKind(Verify(built), DiagnosticKind::kArityMismatch));
+  }
 }
 
 TEST_F(VerifyFixture, CompileRejectsViolationsWhenVerifyIsOn) {

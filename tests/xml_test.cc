@@ -268,16 +268,6 @@ TEST(SerializerTest, ParseSerializeParseIsStable) {
   EXPECT_EQ(once, Serialize(*doc2));
 }
 
-TEST(SerializerTest, IndentedOutputReparsesEquivalently) {
-  auto doc = Parse("<a><b><c>x</c></b><d/></a>", "t.xml");
-  ASSERT_TRUE(doc.ok());
-  SerializeOptions options;
-  options.indent = true;
-  auto doc2 = Parse(Serialize(*doc, options), "t.xml");
-  ASSERT_TRUE(doc2.ok());
-  EXPECT_TRUE(doc->root()->StructurallyEquals(*doc2->root()));
-}
-
 // --- Writer ------------------------------------------------------------------
 
 TEST(XmlWriterTest, EmptyElementSelfCloses) {
