@@ -35,9 +35,9 @@ std::vector<std::string> SplitLines(const std::string& text) {
 /// statement cache. Query parameters are derived deterministically from
 /// the database's seeds and every mutation invalidates the cache, so a
 /// cached plan's embedded parameter values always match the collection it
-/// runs over. Cardinality-zero pruning stays off whatever the caller
-/// asks: the canonical schema's statistics describe the sample database,
-/// not the engine's actual collection.
+/// runs over. The verifier's cardinality bounds stay off whatever the
+/// caller asks: the canonical schema's statistics describe the sample
+/// database, not the engine's actual collection.
 Result<std::shared_ptr<const xquery::plan::CompiledQuery>> PrepareNativePlan(
     engines::NativeEngine& engine, QueryId id, datagen::DbClass db_class,
     const QueryParams& params,

@@ -71,21 +71,38 @@ const char* OperatorSpanName(ExprKind kind) {
   }
 }
 
+/// The interpreter's counters, resolved once: compiled plans build one
+/// evaluator per predicate decision, where condition and order key, so a
+/// registry lookup (a mutex and a map probe) per construction would be
+/// paid once per node on every lane. The registry never frees a counter
+/// (ResetAll only zeroes it), so the references stay valid.
+obs::Counter& OperatorEvalsCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
+      "xbench.xquery.operator_evals");
+  return counter;
+}
+
+obs::Counter& NodesVisitedCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
+      "xbench.xquery.nodes_visited");
+  return counter;
+}
+
 class Evaluator {
  public:
+  /// `outer_scope` (nullable) holds the bindings of enclosing plan
+  /// tuples; it is read in place, never copied, and must outlive the
+  /// evaluator.
   Evaluator(const Bindings& bindings, const EvalOptions& options,
             xml::Arena& arena,
-            const std::vector<ScopeBinding>* seed_scope = nullptr)
+            const std::vector<ScopeBinding>* outer_scope = nullptr)
       : bindings_(bindings),
         options_(options),
         arena_(arena),
-        operator_evals_(obs::MetricsRegistry::Default().GetCounter(
-            "xbench.xquery.operator_evals")),
-        nodes_visited_(obs::MetricsRegistry::Default().GetCounter(
-            "xbench.xquery.nodes_visited")),
-        trace_operators_(obs::Tracer::Default().enabled()) {
-    if (seed_scope != nullptr) scope_ = *seed_scope;
-  }
+        outer_scope_(outer_scope),
+        operator_evals_(OperatorEvalsCounter()),
+        nodes_visited_(NodesVisitedCounter()),
+        trace_operators_(obs::Tracer::Default().enabled()) {}
 
   Result<Sequence> Eval(const Expr& e, const Focus& focus) {
     ++operator_evals_.count;
@@ -272,8 +289,14 @@ class Evaluator {
   }
 
   Result<Sequence> LookupVariable(const std::string& name) const {
+    // Innermost first: local bindings, then the outer tuples, then globals.
     for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
       if (it->first == name) return it->second;
+    }
+    if (outer_scope_ != nullptr) {
+      for (auto it = outer_scope_->rbegin(); it != outer_scope_->rend(); ++it) {
+        if (it->first == name) return it->second;
+      }
     }
     auto it = bindings_.find(name);
     if (it != bindings_.end()) return it->second;
@@ -336,25 +359,14 @@ class Evaluator {
         return Status::InvalidArgument("path step applied to an atomic value");
       }
       if (context.kind == Item::Kind::kAttribute) continue;
-      const xml::Node& node = *context.node;
-      const GuideNode* chains = options_.guide->Chains(node, step.name_test);
       if (step.predicates.empty()) {
-        Sequence candidates;
-        if (chains != nullptr) {
-          GuidedCollect(node, *chains, candidates, visited.count);
-        } else {
-          CollectDescendants(node, step.name_test, /*include_self=*/false,
-                             candidates, visited.count);
-        }
-        result.insert(result.end(), candidates.begin(), candidates.end());
+        CollectFusedDescendants(*context.node, options_.guide, step.name_test,
+                                result, visited.count);
         continue;
       }
       std::vector<Sequence> groups;
-      if (chains != nullptr) {
-        GuidedCollectGroups(node, *chains, groups, visited.count);
-      } else {
-        CollectChildGroups(node, step.name_test, groups, visited.count);
-      }
+      CollectFusedGroups(*context.node, options_.guide, step.name_test,
+                         groups, visited.count);
       for (Sequence& group : groups) {
         XBENCH_ASSIGN_OR_RETURN(
             group, ApplyPredicates(step.predicates, std::move(group)));
@@ -677,7 +689,9 @@ class Evaluator {
   const Bindings& bindings_;
   const EvalOptions& options_;
   xml::Arena& arena_;
-  std::vector<std::pair<std::string, Sequence>> scope_;
+  const std::vector<ScopeBinding>* outer_scope_;
+  /// Bindings of the FLWOR clauses this evaluator is inside of.
+  std::vector<ScopeBinding> scope_;
   /// AST nodes evaluated, added to the shared counter once when the
   /// evaluator ends rather than once per node.
   VisitTally operator_evals_;

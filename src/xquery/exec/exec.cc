@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -63,7 +64,7 @@ struct GroupCountTable {
 /// parallel region runs, tasks may read bindings/options/scope (no
 /// operator mutates them mid-region), but must not touch arena, stats,
 /// or the scope stack — each task writes only its own index's output slot
-/// (node-visit tallies included) and a task-private arena that
+/// and a task-private arena that
 /// RunParallel adopts into the run arena in a fixed order after the
 /// region joins.
 struct ExecContext {
@@ -184,25 +185,6 @@ Result<bool> PredicateKeeps(const ExecContext& ctx, const Env& scope,
     return static_cast<double>(i + 1) == value.front().num;
   }
   return EffectiveBooleanValue(value);
-}
-
-/// Predicate application under an explicit scope and arena (the
-/// per-group body when a descendant step fans whole groups out).
-Result<Sequence> RunPredicatesIn(const ExecContext& ctx, const Env& scope,
-                                 Arena& arena,
-                                 const std::vector<const Expr*>& predicates,
-                                 Sequence candidates) {
-  for (const Expr* pred : predicates) {
-    Sequence kept;
-    const size_t n = candidates.size();
-    for (size_t i = 0; i < n; ++i) {
-      XBENCH_ASSIGN_OR_RETURN(
-          bool keep, PredicateKeeps(ctx, scope, arena, *pred, candidates, i, n));
-      if (keep) kept.push_back(candidates[i]);
-    }
-    candidates = std::move(kept);
-  }
-  return candidates;
 }
 
 /// Predicate application over the current scope: each predicate pass
@@ -366,10 +348,9 @@ class AxisStepOp final : public ItemOp {
 /// candidate lists the unfused child step would build — so positional
 /// predicates keep their meaning.
 ///
-/// The walk is split into work units run as one RunParallel region. The
-/// final SortDocumentOrderUnique makes the merge order-preserving: units
-/// select disjoint candidate sets, so sorting the concatenation yields
-/// exactly the sequential walk's result.
+/// The walk itself is a memory-bound tree walk and runs on the calling
+/// thread; only predicate decisions, which evaluate interpreter leaves,
+/// may go wide (RunPredicates, one region per parent group).
 class DescendantStepOp final : public ItemOp {
  public:
   DescendantStepOp(std::string label, size_t slot,
@@ -384,136 +365,27 @@ class DescendantStepOp final : public ItemOp {
  protected:
   Result<Sequence> DoRun(ExecContext& ctx) const override {
     XBENCH_ASSIGN_OR_RETURN(Sequence input, input_->Run(ctx));
-    // Context validation up front, in context order, so the surfaced
-    // error is the first one a sequential walk would hit.
+    const PathGuide* guide = guided_ ? ctx.options->guide : nullptr;
+    VisitTally visited(*ctx.nodes_visited);
+    Sequence result;
     for (const Item& context : input) {
       if (!context.is_node_kind()) {
         return Status::InvalidArgument("path step applied to an atomic value");
       }
-    }
-    const PathGuide* guide = guided_ ? ctx.options->guide : nullptr;
-    // The guide's chains below one context element; null = full scan.
-    auto chains_for = [&](const xml::Node& node) -> const GuideNode* {
-      return guide != nullptr ? guide->Chains(node, name_test_) : nullptr;
-    };
-    VisitTally visited(*ctx.nodes_visited);
-    Sequence result;
-    if (!predicates_.empty()) {
-      // Candidate-group collection is a cheap tree walk; do it
-      // sequentially and fan the predicate evaluation out per group.
-      std::vector<Sequence> groups;
-      for (const Item& context : input) {
-        if (context.kind == Item::Kind::kAttribute) continue;
-        const xml::Node& node = *context.node;
-        if (const GuideNode* chains = chains_for(node)) {
-          GuidedCollectGroups(node, *chains, groups, visited.count);
-        } else {
-          CollectChildGroups(node, name_test_, groups, visited.count);
-        }
-      }
-      if (groups.size() == 1) {
-        // One parent group: fan out across its candidates instead.
-        XBENCH_ASSIGN_OR_RETURN(
-            result,
-            RunPredicates(ctx, slot(), predicates_, std::move(groups.front())));
-      } else {
-        std::vector<Sequence> outputs(groups.size());
-        const Status status = RunParallel(
-            ctx, slot(), groups.size(), [&](size_t g, Arena& arena) -> Status {
-              auto kept = RunPredicatesIn(ctx, ctx.scope, arena, predicates_,
-                                          std::move(groups[g]));
-              if (!kept.ok()) return kept.status();
-              outputs[g] = std::move(kept).value();
-              return Status::Ok();
-            });
-        if (!status.ok()) return status;
-        for (const Sequence& out : outputs) {
-          result.insert(result.end(), out.begin(), out.end());
-        }
-      }
-      SortDocumentOrderUnique(result);
-      return result;
-    }
-    // No predicates: pure candidate collection. Work units are whole
-    // contexts when there are enough of them to fill every lane;
-    // otherwise each context's child subtrees (frontier split), so even a
-    // single-document query yields enough units to spread.
-    size_t element_contexts = 0;
-    for (const Item& context : input) {
-      if (context.kind != Item::Kind::kAttribute) ++element_contexts;
-    }
-    if (LanesFor(element_contexts) >=
-        static_cast<size_t>(WorkerPool::Default().thread_count())) {
-      std::vector<Sequence> outputs(input.size());
-      std::vector<uint64_t> tallies(input.size(), 0);
-      const Status status = RunParallel(
-          ctx, slot(), input.size(), [&](size_t i, Arena&) -> Status {
-            const Item& context = input[i];
-            if (context.kind == Item::Kind::kAttribute) return Status::Ok();
-            const xml::Node& node = *context.node;
-            if (const GuideNode* chains = chains_for(node)) {
-              GuidedCollect(node, *chains, outputs[i], tallies[i]);
-            } else {
-              CollectDescendants(node, name_test_, /*include_self=*/false,
-                                 outputs[i], tallies[i]);
-            }
-            return Status::Ok();
-          });
-      for (uint64_t tally : tallies) visited.count += tally;
-      if (!status.ok()) return status;
-      for (const Sequence& out : outputs) {
-        result.insert(result.end(), out.begin(), out.end());
-      }
-      SortDocumentOrderUnique(result);
-      return result;
-    }
-    // Frontier split: one unit per context child subtree.
-    struct FrontierUnit {
-      const xml::Node* node = nullptr;
-      /// Guide trie node of the unit's parent context (null = full scan
-      /// of the unit subtree).
-      const GuideNode* chains = nullptr;
-    };
-    std::vector<FrontierUnit> units;
-    for (const Item& context : input) {
       if (context.kind == Item::Kind::kAttribute) continue;
-      const xml::Node& node = *context.node;
-      const GuideNode* chains = chains_for(node);
-      if (chains == nullptr) {
-        // A whole-subtree walk visits the context root itself (and would
-        // emit it under include_self, which descendant steps never set).
-        ++visited.count;
+      if (predicates_.empty()) {
+        CollectFusedDescendants(*context.node, guide, name_test_, result,
+                                visited.count);
+        continue;
       }
-      for (const xml::Node* child : node.children()) {
-        if (chains == nullptr || child->is_element()) {
-          units.push_back({child, chains});
-        }
+      std::vector<Sequence> groups;
+      CollectFusedGroups(*context.node, guide, name_test_, groups,
+                         visited.count);
+      for (Sequence& group : groups) {
+        XBENCH_ASSIGN_OR_RETURN(
+            group, RunPredicates(ctx, slot(), predicates_, std::move(group)));
+        result.insert(result.end(), group.begin(), group.end());
       }
-    }
-    std::vector<Sequence> outputs(units.size());
-    std::vector<uint64_t> tallies(units.size(), 0);
-    const Status status = RunParallel(
-        ctx, slot(), units.size(), [&](size_t i, Arena&) -> Status {
-          const FrontierUnit& unit = units[i];
-          if (unit.chains == nullptr) {
-            CollectDescendants(*unit.node, name_test_, /*include_self=*/true,
-                               outputs[i], tallies[i]);
-            return Status::Ok();
-          }
-          // Per-child body of GuidedCollect.
-          ++tallies[i];
-          const GuideNode* step = unit.chains->Find(unit.node->name());
-          if (step == nullptr) return Status::Ok();
-          if (step->match) outputs[i].push_back(Item::Node(unit.node));
-          if (!step->next.empty()) {
-            GuidedCollect(*unit.node, *step, outputs[i], tallies[i]);
-          }
-          return Status::Ok();
-        });
-    for (uint64_t tally : tallies) visited.count += tally;
-    if (!status.ok()) return status;
-    for (const Sequence& out : outputs) {
-      result.insert(result.end(), out.begin(), out.end());
     }
     SortDocumentOrderUnique(result);
     return result;
@@ -792,14 +664,6 @@ class HashGroupCountOp final : public ItemOp {
   std::unique_ptr<ItemOp> items_;
   std::unique_ptr<ItemOp> probe_;
   const Expr* key_;
-};
-
-class EmptyOp final : public ItemOp {
- public:
-  EmptyOp(std::string label, size_t slot) : ItemOp(std::move(label), slot) {}
-
- protected:
-  Result<Sequence> DoRun(ExecContext&) const override { return Sequence{}; }
 };
 
 /// Index probe: resolves postings through the execution's IndexProvider,
@@ -1383,14 +1247,15 @@ class SortCursor final : public TupleCursor {
     }
   }
 
+  /// Drains the input in batches, so a Where below the sort filters
+  /// whole batches (wide when large enough) as it does under a Return.
   Status Load(ExecContext& ctx) {
     std::vector<Env> tuples;
+    std::vector<Env> batch;
     while (true) {
-      Env base;
-      auto more = input_->Next(ctx, &base);
-      if (!more.ok()) return more.status();
-      if (!more.value()) break;
-      tuples.push_back(std::move(base));
+      XBENCH_RETURN_IF_ERROR(input_->NextBatch(ctx, &batch, kTupleBatch));
+      if (batch.empty()) break;
+      std::move(batch.begin(), batch.end(), std::back_inserter(tuples));
     }
     const Expr& e = *op_.order_source_;
     std::vector<Keyed> keyed(tuples.size());
@@ -1579,13 +1444,6 @@ class PhysicalBuilder {
                                 BuildInput(n, depth));
         return {std::make_unique<AggregateOp>(label, slot, std::move(input),
                                               n.name)};
-      }
-      case LogicalKind::kEmpty: {
-        // The pruned subtree stays in the logical plan for explain output;
-        // the physical operator is a constant.
-        const std::string label = "Empty [statically empty]";
-        const size_t slot = AddSlot(label, depth);
-        return {std::make_unique<EmptyOp>(label, slot)};
       }
       case LogicalKind::kIndexScan:
       case LogicalKind::kIndexRangeScan:

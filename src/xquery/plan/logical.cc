@@ -139,9 +139,6 @@ std::string NodeLabel(const LogicalNode& n) {
     case LogicalKind::kHashGroupCount:
       label = GroupCountLabel(n);
       break;
-    case LogicalKind::kEmpty:
-      label = "Empty [statically empty]";
-      break;
     case LogicalKind::kIndexScan:
       label = "IndexScan(" + n.probe->index + " = \"" + n.probe->key + "\")";
       break;
@@ -208,7 +205,6 @@ class Builder {
  public:
   Builder(const PlanAnnotations* notes, const CompilationOptions& options)
       : notes_(notes),
-        options_(options),
         guided_allowed_(options.access_path.mode !=
                         AccessPathMode::kForceScan) {}
 
@@ -298,7 +294,7 @@ class Builder {
   };
 
   /// Whether `built` is the step or filter node that applies exactly
-  /// `predicate` (not an interpreter leaf or a statically empty path).
+  /// `predicate` (not an interpreter leaf).
   static bool CarriesOnly(const LogicalNode& built, const Expr* predicate) {
     switch (built.kind) {
       case LogicalKind::kFilter:
@@ -432,16 +428,6 @@ class Builder {
       current = std::move(node);
     }
     current->cardinality = CardinalityFor(e);
-    if (options_.cost_model.trust_statistics &&
-        current->cardinality == Card::kEmpty) {
-      // Cardinality rewrite: the instance statistics bound this path to
-      // zero matches. The pruned subtree stays attached for explain
-      // output; execution never opens it.
-      auto empty = std::make_unique<LogicalNode>(LogicalKind::kEmpty);
-      empty->cardinality = Card::kEmpty;
-      empty->inputs.push_back(std::move(current));
-      return empty;
-    }
     return current;
   }
 
@@ -525,7 +511,6 @@ class Builder {
   }
 
   const PlanAnnotations* notes_;
-  const CompilationOptions& options_;
   const bool guided_allowed_;
   struct ScopeVar {
     std::string name;

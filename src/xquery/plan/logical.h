@@ -28,7 +28,8 @@ const char* AxisLabel(Axis axis);
 
 /// Analyzer output the planner consumes, keyed by AST node identity (the
 /// map is valid only while the analyzed AST is alive): the path
-/// cardinality classes behind the provably-empty rewrite.
+/// cardinality classes the plan's path nodes carry, which explain output
+/// shows and the verifier's cardinality-bound check reads.
 struct PlanAnnotations {
   std::map<const Expr*, Card> path_cardinality;
 };
@@ -47,7 +48,6 @@ enum class LogicalKind {
   kAggregate,   // single-argument sequence function (count, sum, ...)
   kConstruct,   // direct element constructor (inputs: enclosed exprs)
   kHashGroupCount,  // count(X[R = $v]) as one grouped pass over X
-  kEmpty,       // statically provably empty (cardinality rewrite)
   kReturn,      // tuple input × item plan -> concatenated item sequence
   // Index probes (wrap the item subtree they replace; inputs[0] is the
   // original access path kept as runtime fallback, inputs[1] the root
@@ -188,11 +188,12 @@ struct AccessPathPolicy {
 /// logical.cc model the simulated storage (a B+-tree node fetch costs a
 /// page read, resolving one posting to a DOM node costs about two visits).
 struct CostModelOptions {
-  /// Apply the provably-empty-path rewrite (Card::kEmpty -> kEmpty node).
-  /// The cardinality classes come from *instance* statistics of the
-  /// canonical sample database, so this is only sound when the data the
-  /// plan will run over matches those statistics; the workload runner
-  /// leaves it off, `xqlint --explain` and schema-bound tests turn it on.
+  /// Let the plan verifier treat the analysis cardinality classes as
+  /// hard bounds on frozen row estimates (its cardinality-bound check);
+  /// it changes no plan. The classes come from *instance* statistics of
+  /// the canonical sample database, so the bound only holds when the data
+  /// matches those statistics: the workload runner leaves it off,
+  /// `xqlint` and schema-bound tests turn it on.
   bool trust_statistics = false;
 };
 
@@ -230,9 +231,9 @@ int CountVariableUses(const Expr& expr, const std::string& name);
 const LogicalNode* SingleInputProbe(const LogicalPlan& plan);
 
 /// Lowers an analyzed AST to the logical algebra. `notes` may be null (no
-/// cardinality rewrite). `catalog` may be null (no probes are considered). Never fails on
-/// canned queries: any unsupported shape lowers to a kEval
-/// interpreter-core leaf.
+/// cardinality annotations). `catalog` may be null (no probes are
+/// considered). Never fails on canned queries: any unsupported shape
+/// lowers to a kEval interpreter-core leaf.
 Result<LogicalPlan> BuildLogicalPlan(const Expr& query,
                                      const PlanAnnotations* notes,
                                      const CompilationOptions& options,

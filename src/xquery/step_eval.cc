@@ -8,6 +8,10 @@ bool ElementMatches(const xml::Node& node, const std::string& name_test) {
   return name_test == "*" || node.name() == name_test;
 }
 
+namespace {
+
+/// Appends every descendant of `node` matching `name_test` in document
+/// order; with `include_self`, `node` itself may match too.
 void CollectDescendants(const xml::Node& node, const std::string& name_test,
                         bool include_self, Sequence& out,
                         uint64_t& visited) {
@@ -20,6 +24,8 @@ void CollectDescendants(const xml::Node& node, const std::string& name_test,
   }
 }
 
+/// Descends from `node` only along the label chains of `at` (the guide
+/// trie node reached at `node`), emitting matches in pre-order.
 void GuidedCollect(const xml::Node& node, const GuideNode& at, Sequence& out,
                    uint64_t& visited) {
   for (const xml::Node* child : node.children()) {
@@ -32,6 +38,8 @@ void GuidedCollect(const xml::Node& node, const GuideNode& at, Sequence& out,
   }
 }
 
+/// Per-parent form of GuidedCollect: each group holds every chain-final
+/// match under one parent element.
 void GuidedCollectGroups(const xml::Node& node, const GuideNode& at,
                          std::vector<Sequence>& groups, uint64_t& visited) {
   Sequence here;
@@ -48,6 +56,10 @@ void GuidedCollectGroups(const xml::Node& node, const GuideNode& at,
   if (!here.empty()) groups.push_back(std::move(here));
 }
 
+/// Full-scan counterpart of GuidedCollectGroups: for `node` and every
+/// descendant element, the children matching `name_test` form one group —
+/// exactly the candidate lists of an unfused descendant-or-self::* /
+/// child::name pair.
 void CollectChildGroups(const xml::Node& node, const std::string& name_test,
                         std::vector<Sequence>& groups,
                         uint64_t& visited) {
@@ -63,6 +75,32 @@ void CollectChildGroups(const xml::Node& node, const std::string& name_test,
     if (child->is_element()) {
       CollectChildGroups(*child, name_test, groups, visited);
     }
+  }
+}
+
+}  // namespace
+
+void CollectFusedDescendants(const xml::Node& node, const PathGuide* guide,
+                             const std::string& name_test, Sequence& out,
+                             uint64_t& visited) {
+  const GuideNode* chains =
+      guide != nullptr ? guide->Chains(node, name_test) : nullptr;
+  if (chains != nullptr) {
+    GuidedCollect(node, *chains, out, visited);
+  } else {
+    CollectDescendants(node, name_test, /*include_self=*/false, out, visited);
+  }
+}
+
+void CollectFusedGroups(const xml::Node& node, const PathGuide* guide,
+                        const std::string& name_test,
+                        std::vector<Sequence>& groups, uint64_t& visited) {
+  const GuideNode* chains =
+      guide != nullptr ? guide->Chains(node, name_test) : nullptr;
+  if (chains != nullptr) {
+    GuidedCollectGroups(node, *chains, groups, visited);
+  } else {
+    CollectChildGroups(node, name_test, groups, visited);
   }
 }
 

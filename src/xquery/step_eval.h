@@ -40,32 +40,25 @@ class VisitTally {
 /// Whether `node` matches a step name test ("*", "text()", or a name).
 bool ElementMatches(const xml::Node& node, const std::string& name_test);
 
-/// Appends every descendant of `node` matching `name_test` in document
-/// order; with `include_self`, `node` itself may match too. Each visited
-/// node adds one to `visited`, a caller-local tally that the caller adds
-/// to the xbench.xquery.nodes_visited counter once per operator call.
-void CollectDescendants(const xml::Node& node, const std::string& name_test,
-                        bool include_self, Sequence& out,
-                        uint64_t& visited);
+/// The fused `//name` step (descendant-or-self::* / child::name) from one
+/// element context, appending matches to `out` in document order. With a
+/// `guide` (nullable) that covers `node`, the walk descends only along
+/// the guide's label chains below it; otherwise it scans the whole
+/// subtree, so the guided walk can never drop a match. Each visited node
+/// adds one to `visited`, a caller-local tally that the caller adds to
+/// the xbench.xquery.nodes_visited counter once per operator call.
+void CollectFusedDescendants(const xml::Node& node, const PathGuide* guide,
+                             const std::string& name_test, Sequence& out,
+                             uint64_t& visited);
 
-/// Guided descendant collection: descends from `node` only along the
-/// label chains of `at` (the guide trie node reached at `node`), emitting
-/// matches in document order (pre-order).
-void GuidedCollect(const xml::Node& node, const GuideNode& at, Sequence& out,
-                   uint64_t& visited);
-
-/// Per-parent variant of GuidedCollect for fused steps that carry
-/// predicates: each group holds every chain-final match under one parent
-/// element, so positional predicates ([1], position(), last()) see the
-/// same candidate list the unfused child step would build for that parent.
-void GuidedCollectGroups(const xml::Node& node, const GuideNode& at,
-                         std::vector<Sequence>& groups, uint64_t& visited);
-
-/// Full-scan counterpart of GuidedCollectGroups: for `node` and every
-/// descendant element, the children matching `name_test` form one group —
-/// exactly the candidate lists of an unfused descendant-or-self::* /
-/// child::name pair.
-void CollectChildGroups(const xml::Node& node, const std::string& name_test,
+/// Grouped form of CollectFusedDescendants for fused steps that carry
+/// predicates: each group holds the matches under one parent element —
+/// exactly the candidate list the unfused child step builds for that
+/// parent — so positional predicates ([1], position(), last()) keep
+/// their meaning. Groups are not in document order; callers sort the
+/// union of the kept candidates.
+void CollectFusedGroups(const xml::Node& node, const PathGuide* guide,
+                        const std::string& name_test,
                         std::vector<Sequence>& groups, uint64_t& visited);
 
 /// The candidate nodes one axis step selects from a single context

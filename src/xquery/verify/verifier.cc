@@ -28,7 +28,6 @@ size_t ExpectedArity(const LogicalNode& n) {
       return n.expr != nullptr ? plan::ConstructInputCount(*n.expr) : 0;
     case LogicalKind::kScan:
     case LogicalKind::kEval:
-    case LogicalKind::kEmpty:
     case LogicalKind::kSingleton:
       return 0;
     case LogicalKind::kChildStep:
@@ -62,7 +61,6 @@ bool ProvidesUnique(LogicalKind kind) {
     case LogicalKind::kChildStep:
     case LogicalKind::kAxisStep:
     case LogicalKind::kDescendantStep:
-    case LogicalKind::kEmpty:
     case LogicalKind::kIndexScan:
     case LogicalKind::kIndexRangeScan:
     case LogicalKind::kTextProbe:
@@ -109,8 +107,6 @@ std::string ExpectedLabel(const LogicalNode& n) {
       return "Filter" + PredicateSuffix(n);
     case LogicalKind::kAggregate:
       return "Aggregate(" + n.name + ")";
-    case LogicalKind::kEmpty:
-      return "Empty [statically empty]";
     case LogicalKind::kIndexScan:
     case LogicalKind::kIndexRangeScan:
     case LogicalKind::kTextProbe: {

@@ -259,26 +259,6 @@ TEST(PlanShapeTest, AutoModeChoosesIndexProbesOnTheCannedWorkload) {
   }
 }
 
-TEST(PlanShapeTest, EmptyRewriteGatedOnTrustStatistics) {
-  // The rewrite consumes analyzer cardinality via PlanAnnotations; feed a
-  // synthetic kEmpty annotation and check the gate.
-  for (bool trust : {true, false}) {
-    auto parsed = xquery::ParseQuery("$input/absent_child");
-    ASSERT_TRUE(parsed.ok());
-    xquery::plan::PlanAnnotations notes;
-    notes.path_cardinality[parsed->get()] = xquery::plan::Card::kEmpty;
-    xquery::plan::CompilationOptions options;
-    options.cost_model.trust_statistics = trust;
-    auto logical =
-        xquery::plan::BuildLogicalPlan(**parsed, &notes, options);
-    ASSERT_TRUE(logical.ok());
-    const bool rewritten = logical->ToString().find(
-                               "Empty [statically empty]") !=
-                           std::string::npos;
-    EXPECT_EQ(rewritten, trust);
-  }
-}
-
 // --- Plan cache -------------------------------------------------------------
 
 TEST(PlanCacheTest, LookupInsertInvalidateWithMetrics) {
@@ -439,9 +419,13 @@ TEST(PlanExecTest, SelfTimesTelescopeUnderProbeFallbacks) {
 TEST(PlanExecTest, RegionsGoWideOnlyOnLargeInputs) {
   // Each region sizes itself from its input: TC/SD Q17's where clause
   // filters whole tuple batches, which is enough work to publish to the
-  // pool, while TC/MD Q8 filters a handful of documents inline. Either
-  // way the answer is the interpreter's.
-  auto morsels_of = [](QueryId id, DbClass cls) -> uint64_t {
+  // pool, while TC/MD Q8 filters a handful of documents inline. DC/MD
+  // Q10's where clause sits under an order by: the sort drains it in
+  // batches too, so it goes wide as well. Either way the answer is the
+  // interpreter's. `label` (empty = every operator) names the slots whose
+  // morsels count.
+  auto morsels_of = [](QueryId id, DbClass cls,
+                       const std::string& label) -> uint64_t {
     auto& setup = PlanFixture::Get().ForClass(cls);
     engines::NativeEngine& engine = setup.native();
     const std::string text = workload::XQueryFor(id, cls, setup.params);
@@ -460,14 +444,19 @@ TEST(PlanExecTest, RegionsGoWideOnlyOnLargeInputs) {
     }
     EXPECT_EQ(result->ToText(), reference->ToText()) << QueryName(id);
     uint64_t morsels = 0;
+    bool found = label.empty();
     for (const xquery::exec::OperatorStats& op : stats.operators) {
       EXPECT_GE(op.self_millis, 0.0);  // capped under concurrent children
+      if (!label.empty() && op.label != label) continue;
+      found = true;
       morsels += op.morsels;
     }
+    EXPECT_TRUE(found) << QueryName(id) << " has no " << label << " slot";
     return morsels;
   };
-  EXPECT_GT(morsels_of(QueryId::kQ17, DbClass::kTcSd), 0u);
-  EXPECT_EQ(morsels_of(QueryId::kQ8, DbClass::kTcMd), 0u);
+  EXPECT_GT(morsels_of(QueryId::kQ17, DbClass::kTcSd, ""), 0u);
+  EXPECT_GT(morsels_of(QueryId::kQ10, DbClass::kDcMd, "Where"), 0u);
+  EXPECT_EQ(morsels_of(QueryId::kQ8, DbClass::kTcMd, ""), 0u);
 }
 
 // --- Path guide ---------------------------------------------------------------

@@ -7,7 +7,8 @@
 // — and requires byte-identical QueryResult::ToText() from all of them. Plans
 // whose inputs are large enough run their regions on the worker pool, so
 // the morsel-parallel execution paths are fuzzed against the interpreter
-// too (the summary counts the plan runs that went wide). Index
+// too: the summary counts the plan runs that went wide in each region
+// kind (step predicates, Where, Sort keys, HashGroupCount keys). Index
 // availability itself is randomized: the engine cycles through three
 // index configurations (none / Table 3 value indexes / Table 3 + text
 // index) during the run, so cost-based plans are fuzzed both with probes
@@ -68,6 +69,24 @@ constexpr ClassOption kClassOptions[] = {
     {"dcsd", DbClass::kDcSd},
     {"dcmd", DbClass::kDcMd},
 };
+
+/// The kinds of region a plan can run wide, counted separately in the
+/// summary: predicates of steps, Filter and index probes; a where
+/// clause; sort keys; HashGroupCount keys.
+enum RegionKind {
+  kStepPredicate,
+  kWhere,
+  kSort,
+  kHashGroupCount,
+  kRegionKinds
+};
+
+RegionKind WideRegionKind(const std::string& label) {
+  if (label == "Where") return kWhere;
+  if (label.rfind("SortMaterialize(", 0) == 0) return kSort;
+  if (label.rfind("HashGroupCount(", 0) == 0) return kHashGroupCount;
+  return kStepPredicate;
+}
 
 std::vector<std::string> SplitLines(const std::string& text) {
   std::vector<std::string> lines;
@@ -292,7 +311,8 @@ int main(int argc, char** argv) {
   xbench::analysis::QueryGenerator gen(schema, seed);
   uint64_t clob_compared = 0;
   uint64_t error_queries = 0;
-  uint64_t wide_plans = 0;
+  // Plan runs with at least one wide region of each kind.
+  uint64_t wide_plans[kRegionKinds] = {};
   uint64_t probe_plans = 0;
 
   // Index-availability sweep: cycle the engine through three index
@@ -403,11 +423,12 @@ int main(int argc, char** argv) {
              interp.ok() ? "ok" : interp.status().ToString(),
              plan_result.ok() ? "ok" : plan_result.status().ToString());
       }
+      bool wide[kRegionKinds] = {};
       for (const auto& op : stats.operators) {
-        if (op.morsels > 0) {
-          ++wide_plans;
-          break;
-        }
+        if (op.morsels > 0) wide[WideRegionKind(op.label)] = true;
+      }
+      for (int kind = 0; kind < kRegionKinds; ++kind) {
+        wide_plans[kind] += wide[kind] ? 1 : 0;
       }
       if (interp.ok()) {
         const std::string lhs = interp->ToText();
@@ -460,11 +481,16 @@ int main(int argc, char** argv) {
   std::printf(
       "  %llu queries: interpreter == unguided == guided == auto plan, "
       "%llu runtime errors (status-matched), %llu clob-compared, "
-      "%llu wide plan runs, %llu index-probe plans\n",
+      "%llu index-probe plans\n"
+      "  wide plan runs: %llu step predicate, %llu Where, %llu Sort, "
+      "%llu HashGroupCount\n",
       static_cast<unsigned long long>(iters),
       static_cast<unsigned long long>(error_queries),
       static_cast<unsigned long long>(clob_compared),
-      static_cast<unsigned long long>(wide_plans),
-      static_cast<unsigned long long>(probe_plans));
+      static_cast<unsigned long long>(probe_plans),
+      static_cast<unsigned long long>(wide_plans[kStepPredicate]),
+      static_cast<unsigned long long>(wide_plans[kWhere]),
+      static_cast<unsigned long long>(wide_plans[kSort]),
+      static_cast<unsigned long long>(wide_plans[kHashGroupCount]));
   return 0;
 }

@@ -43,7 +43,7 @@ if [ "$SAN" = "thread" ]; then
         json_check
   "$BUILD/tests/concurrency_tests"
   "$BUILD/tests/lock_rank_tests"
-  # At the default TC/SD small scale the mix's descendant steps and
+  # At the default TC/SD small scale the mix's step predicates and
   # where clauses are large enough to go wide, so concurrent sessions
   # race each other AND the shared worker pool's lanes, which is exactly
   # the interleaving TSAN is here to check. The step fails if no region
